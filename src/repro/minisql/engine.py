@@ -10,22 +10,23 @@ Maxoid COW proxy is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     SqlError,
-    SqlIntegrityError,
     SqlNameError,
     SqlReadOnlyError,
 )
 from repro.minisql import ast_nodes as ast
 from repro.minisql import planner
 from repro.minisql.expr import (
+    EMPTY_SCOPE,
     Evaluator,
     Scope,
     contains_aggregate,
     is_aggregate_call,
     sql_compare,
+    sql_sort_key,
 )
 from repro.minisql.parser import parse
 from repro.minisql.table import Table
@@ -84,7 +85,59 @@ class _ProjectedRow:
         self.scope = scope
 
 
-_MISSING = object()
+#: A primary-key access request: the WHERE to search, the column a key
+#: term must name (None: the table's own pk) and the source name a
+#: qualified reference must carry.
+Access = Tuple[ast.Expr, Optional[str], str]
+
+
+def _names_column(expr: ast.Expr, column: Optional[str], source_name: str) -> bool:
+    """True if ``expr`` references ``column`` of the source ``source_name``:
+    unqualified, or qualified with that name (never an outer row's)."""
+    return (
+        isinstance(expr, ast.Column)
+        and column is not None
+        and expr.name.lower() == column.lower()
+        and (expr.table or source_name).lower() == source_name.lower()
+    )
+
+
+def _pk_terms(table: Table, access: Optional[Access]) -> Optional[List[ast.Expr]]:
+    """The key expressions of the first top-level AND term of the access's
+    WHERE that reads ``column = key`` or ``column IN (key, ...)``, each key
+    a parameter or literal; None when there is no such term.
+
+    The column must be unqualified or qualified with the access's source
+    name, so a correlated reference to an outer row never qualifies, and a
+    unary ``+column`` defeats the match as it does in SQLite.
+    """
+    if access is None or table.pk_column is None:
+        return None
+    where, column, qualifier = access
+    column = column or table.pk_column
+
+    def is_key(expr: ast.Expr) -> bool:
+        return isinstance(expr, (ast.Param, ast.Literal))
+
+    pending = [where]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Binary):
+            if node.op == "AND":
+                pending.extend((node.right, node.left))
+            elif node.op == "=":
+                if _names_column(node.left, column, qualifier) and is_key(node.right):
+                    return [node.right]
+                if _names_column(node.right, column, qualifier) and is_key(node.left):
+                    return [node.left]
+        elif (
+            isinstance(node, ast.InList)
+            and not node.negated
+            and _names_column(node.operand, column, qualifier)
+            and all(is_key(item) for item in node.items)
+        ):
+            return list(node.items)
+    return None
 
 
 class Database:
@@ -164,20 +217,28 @@ class Database:
     def explain(self, sql: str) -> List[str]:
         """Describe how a SELECT would execute (a minimal EXPLAIN).
 
-        One line per FROM source: ``SCAN table``, ``VIEW name (FLATTEN)``
-        for a UNION ALL view the planner would push the query into, or
-        ``VIEW name (MATERIALIZE)`` when footnote-5 rules force the view
-        into a temp result first. Subqueries are annotated recursively.
+        One line per FROM source: ``SCAN table``, or ``SEARCH table USING
+        PRIMARY KEY`` when the WHERE pins the table's primary key;
+        ``VIEW name (FLATTEN)`` for a UNION ALL view the planner would push
+        the query into (``FLATTEN, pk → N arms`` when the key lookup is
+        pushed into N of its arms too), or ``VIEW name (MATERIALIZE)`` when
+        footnote-5 rules force the view into a temp result first.
+        Subqueries are annotated recursively.
         """
         statement = parse(sql)
         if not isinstance(statement, ast.Select):
             return [f"{type(statement).__name__.upper()}"]
         return self._explain_select(statement)
 
-    def _explain_select(self, select: ast.Select, depth: int = 0) -> List[str]:
+    def _explain_select(
+        self,
+        select: ast.Select,
+        depth: int = 0,
+        pushed: Optional[List[Optional[Access]]] = None,
+    ) -> List[str]:
         pad = "  " * depth
         lines: List[str] = []
-        for core in select.cores:
+        for index, core in enumerate(select.cores):
             refs = []
             if core.source is not None:
                 refs.append(core.source)
@@ -191,22 +252,25 @@ class Database:
                     continue
                 name = (ref.name or "").lower()
                 if name in self.tables:
-                    lines.append(f"{pad}SCAN {name} ({len(self.tables[name])} rows)")
+                    table = self.tables[name]
+                    access = (pushed[index] if pushed else None) or self._core_access(core)
+                    if ref is core.source and _pk_terms(table, access) is not None:
+                        lines.append(f"{pad}SEARCH {name} USING PRIMARY KEY")
+                    else:
+                        lines.append(f"{pad}SCAN {name} ({len(table)} rows)")
                 elif name in self.views:
                     view = self.views[name]
-                    if view.select.is_compound:
-                        queried = self._queried_column_set(core)
-                        flattens = planner.should_flatten(
-                            view.select,
-                            select.order_by if len(select.cores) == 1 else [],
-                            queried,
-                            self.sqlite_emulation,
-                        )
-                        mode = "FLATTEN" if flattens else "MATERIALIZE"
-                        lines.append(f"{pad}VIEW {name} ({mode})")
+                    arms: Optional[List[Optional[Access]]] = None
+                    if not view.select.is_compound:
+                        mode = "EXPAND"
+                    elif self._flattened_view(core, select) is view:
+                        arms = self._arm_accesses(view, core.where, ref.effective_name)
+                        searched = sum(access is not None for access in arms)
+                        mode = f"FLATTEN, pk → {searched} arms" if searched else "FLATTEN"
                     else:
-                        lines.append(f"{pad}VIEW {name} (EXPAND)")
-                    lines.extend(self._explain_select(view.select, depth + 1))
+                        mode = "MATERIALIZE"
+                    lines.append(f"{pad}VIEW {name} ({mode})")
+                    lines.extend(self._explain_select(view.select, depth + 1, arms))
                 else:
                     lines.append(f"{pad}UNKNOWN {ref.name}")
         if select.order_by:
@@ -269,6 +333,7 @@ class Database:
             subquery_runner=lambda select, scope: self._execute_select(
                 select, list(params), outer_scope=scope
             ).rows,
+            key_set_runner=self._pk_key_set,
         )
 
     # ------------------------------------------------------------------
@@ -396,8 +461,11 @@ class Database:
         ref: ast.TableRef,
         params: List[object],
         outer_scope: Optional[Scope],
+        evaluator: Optional[Evaluator] = None,
+        access: Optional[Access] = None,
     ) -> Tuple[List[str], List[Dict[str, object]]]:
-        """Produce (column names, row dicts) for a FROM source."""
+        """Produce (column names, row dicts) for a FROM source; a base table
+        reads only its primary-key candidates when ``access`` allows."""
         if ref.subquery is not None:
             result = self._execute_select(ref.subquery, params, outer_scope=outer_scope)
             rows = [dict(zip([c.lower() for c in result.columns], row)) for row in result.rows]
@@ -406,11 +474,13 @@ class Database:
         key = ref.name.lower()
         if key in self.tables:
             table = self.tables[key]
-            self.stats.rows_scanned += len(table.rows)
-            return (
-                [c.name for c in table.columns],
-                [dict(row) for row in table.rows.values()],
+            rowids = self._pk_rowids(table, access, evaluator) if evaluator else None
+            stored = (
+                table.rows.values() if rowids is None else [table.rows[r] for r in rowids]
             )
+            rows = [dict(row) for row in stored]
+            self.stats.rows_scanned += len(rows)
+            return [c.name for c in table.columns], rows
         if key in self.views:
             view = self.views[key]
             result = self._execute_select(view.select, params, outer_scope=outer_scope)
@@ -420,18 +490,54 @@ class Database:
             return list(view.columns), rows
         raise SqlNameError(f"no such table: {ref.name}")
 
+    def _pk_rowids(
+        self, table: Table, access: Optional[Access], evaluator: Evaluator
+    ) -> Optional[List[int]]:
+        """The primary-key access path: the rowids of ``table`` whose key
+        matches the access's ``pk = ?`` / ``pk IN (...)`` term, in scan
+        order, or None when the table must be scanned. Callers still
+        evaluate the full WHERE on every candidate."""
+        terms = _pk_terms(table, access)
+        if terms is None:
+            return None
+        rowids = set()
+        for term in terms:
+            value = evaluator.evaluate(term, EMPTY_SCOPE)
+            if value is None:
+                continue
+            try:
+                rowid = table.pk_index.get(value)
+            except TypeError:  # unhashable key: fall back to the scan
+                return None
+            if rowid is not None:
+                rowids.add(rowid)
+        return sorted(rowids)
+
     @staticmethod
-    def _scope_for(
-        name: str, columns: List[str], row: Dict[str, object], outer: Optional[Scope]
-    ) -> Scope:
-        bindings: Dict[str, object] = {}
+    def _core_access(core: ast.SelectCore) -> Optional[Access]:
+        """The access a single-source core's own WHERE offers its table."""
+        if core.where is None or core.source is None or core.joins:
+            return None
+        return (core.where, None, core.source.effective_name)
+
+    @staticmethod
+    def _scope_maker(
+        name: str, columns: Sequence[str]
+    ) -> Callable[[Dict[str, object], Optional[Scope]], Scope]:
+        """A function building one row's scope, which binds each column
+        bare and as ``name.col``; the key strings are built once."""
         lowered = name.lower()
-        for column in columns:
-            key = column.lower()
-            value = row.get(key)
-            bindings[key] = value
-            bindings[f"{lowered}.{key}"] = value
-        return Scope(bindings, outer)
+        keys = [(c.lower(), f"{lowered}.{c.lower()}") for c in columns]
+
+        def make(row: Dict[str, object], outer: Optional[Scope]) -> Scope:
+            bindings: Dict[str, object] = {}
+            for key, qualified in keys:
+                value = row.get(key)
+                bindings[key] = value
+                bindings[qualified] = value
+            return Scope(bindings, outer)
+
+        return make
 
     @staticmethod
     def _merge_scopes(base: Scope, extra: Scope) -> Scope:
@@ -496,11 +602,18 @@ class Database:
         params: List[object],
         evaluator: Evaluator,
         outer_scope: Optional[Scope],
+        access: Optional[Access] = None,
     ) -> Tuple[List[str], List[_ProjectedRow]]:
+        """Run one SELECT core. ``access`` is a primary-key lookup pushed
+        down from an enclosing query over a UNION ALL view; without one the
+        core's own WHERE is searched for a key term."""
         # --- planner hook: flattened execution over a UNION ALL view -----
         flattened = self._try_flattened_view(core, enclosing, params, evaluator, outer_scope)
         if flattened is not None:
             return flattened
+        extreme = self._pk_extreme(core)
+        if extreme is not None:
+            return extreme
         # --- build the joined row set -------------------------------------
         scopes: List[Scope]
         source_columns: List[Tuple[str, List[str]]] = []
@@ -508,30 +621,30 @@ class Database:
             scopes = [Scope({}, outer_scope)]
         else:
             name = core.source.effective_name
-            cols, rows = self._source_rows(core.source, params, outer_scope)
+            cols, rows = self._source_rows(
+                core.source, params, outer_scope, evaluator, access or self._core_access(core)
+            )
             source_columns.append((name, cols))
-            scopes = [self._scope_for(name, cols, row, outer_scope) for row in rows]
+            make = self._scope_maker(name, cols)
+            scopes = [make(row, outer_scope) for row in rows]
             for join in core.joins:
                 join_name = join.table.effective_name
                 join_cols, join_rows = self._source_rows(join.table, params, outer_scope)
                 source_columns.append((join_name, join_cols))
+                make_join = self._scope_maker(join_name, join_cols)
+                join_scopes = [make_join(row, outer_scope) for row in join_rows]
                 joined: List[Scope] = []
                 for left_scope in scopes:
                     matched = False
-                    for row in join_rows:
-                        candidate = self._merge_scopes(
-                            left_scope, self._scope_for(join_name, join_cols, row, outer_scope)
-                        )
+                    for right_scope in join_scopes:
+                        candidate = self._merge_scopes(left_scope, right_scope)
                         if join.on is None or evaluator.truth(join.on, candidate):
                             joined.append(candidate)
                             matched = True
                     if join.kind == "LEFT" and not matched:
                         null_row = {c.lower(): None for c in join_cols}
                         joined.append(
-                            self._merge_scopes(
-                                left_scope,
-                                self._scope_for(join_name, join_cols, null_row, outer_scope),
-                            )
+                            self._merge_scopes(left_scope, make_join(null_row, outer_scope))
                         )
                 scopes = joined
         # --- WHERE -----------------------------------------------------------
@@ -560,6 +673,56 @@ class Database:
             rows = unique
         return columns, rows
 
+    def _flattened_view(self, core: ast.SelectCore, enclosing: ast.Select) -> Optional[_View]:
+        """The UNION ALL view ``core`` reads, when the planner pushes the
+        query into the view's arms instead of materialising it."""
+        if core.source is None or core.source.name is None or core.joins:
+            return None
+        view = self.views.get(core.source.name.lower())
+        if view is None or not view.select.is_compound:
+            return None
+        if core.group_by or core.having or core.distinct:
+            return None
+        if any(contains_aggregate(item.expr) for item in core.items):
+            return None
+        if not planner.should_flatten(
+            view.select,
+            enclosing.order_by if len(enclosing.cores) == 1 else [],
+            self._queried_column_set(core),
+            self.sqlite_emulation,
+        ):
+            return None
+        return view
+
+    def _arm_accesses(
+        self, view: _View, where: Optional[ast.Expr], qualifier: str
+    ) -> List[Optional[Access]]:
+        """Push a ``pk = ?`` term of ``where`` (over the view's columns)
+        into each arm of a UNION ALL view: an arm gets the access when the
+        view column the term names is its own table's primary key,
+        projected unchanged."""
+        accesses: List[Optional[Access]] = []
+        for arm in view.select.cores:
+            accesses.append(None)
+            table = self.tables.get((arm.source.name or "").lower()) if arm.source else None
+            if where is None or table is None:
+                continue
+            exprs: List[ast.Expr] = []
+            for item in arm.items:
+                if isinstance(item.expr, ast.Star):
+                    exprs.extend(ast.Column(name=c) for c in table.column_names)
+                else:
+                    exprs.append(item.expr)
+            arm_name = arm.source.effective_name
+            for column, expr in zip(view.columns, exprs):
+                if (
+                    _names_column(expr, table.pk_column, arm_name)
+                    and _pk_terms(table, (where, column, qualifier)) is not None
+                ):
+                    accesses[-1] = (where, column, qualifier)
+                    break
+        return accesses
+
     def _try_flattened_view(
         self,
         core: ast.SelectCore,
@@ -569,41 +732,93 @@ class Database:
         outer_scope: Optional[Scope],
     ) -> Optional[Tuple[List[str], List[_ProjectedRow]]]:
         """Execute ``SELECT ... FROM union_all_view WHERE ...`` by pushing
-        the work into the view's arms when the planner allows it."""
-        if core.source is None or core.source.name is None or core.joins:
-            return None
-        if core.group_by or core.having or core.distinct:
-            return None
-        if any(contains_aggregate(item.expr) for item in core.items):
-            return None
-        view = self.views.get(core.source.name.lower())
-        if view is None or not view.select.is_compound:
-            return None
-        queried = self._queried_column_set(core)
-        if not planner.should_flatten(
-            view.select,
-            enclosing.order_by if len(enclosing.cores) == 1 else [],
-            queried,
-            self.sqlite_emulation,
-        ):
+        the work (and any primary-key lookup) into the view's arms when the
+        planner allows it."""
+        view = self._flattened_view(core, enclosing)
+        if view is None:
             return None
         self.stats.flattened_queries += 1
         effective = core.source.effective_name
         view_columns_lower = [c.lower() for c in view.columns]
         out_rows: List[_ProjectedRow] = []
         source_columns = [(effective, list(view.columns))]
-        for arm in view.select.cores:
-            arm_columns, arm_rows = self._execute_core(
-                arm, view.select, params, evaluator, outer_scope
+        make = self._scope_maker(effective, view.columns)
+        for arm_values in self._arm_rows(
+            view, core.where, effective, params, evaluator, outer_scope
+        ):
+            scope = make(dict(zip(view_columns_lower, arm_values)), outer_scope)
+            if core.where is not None and not evaluator.truth(core.where, scope):
+                continue
+            values = self._project(core, scope, source_columns, evaluator)
+            out_rows.append(_ProjectedRow(tuple(values), scope))
+        return self._core_output_columns(core, source_columns), out_rows
+
+    def _arm_rows(
+        self,
+        view: _View,
+        where: Optional[ast.Expr],
+        qualifier: str,
+        params: List[object],
+        evaluator: Evaluator,
+        outer_scope: Optional[Scope],
+    ) -> Iterator[tuple]:
+        """The rows of a flattened UNION ALL view, arm by arm, each arm
+        reading by primary key when ``where`` (over the view) pins it."""
+        for arm, access in zip(view.select.cores, self._arm_accesses(view, where, qualifier)):
+            _columns, arm_rows = self._execute_core(
+                arm, view.select, params, evaluator, outer_scope, access
             )
             for arm_row in arm_rows:
-                row_dict = dict(zip(view_columns_lower, arm_row.values))
-                scope = self._scope_for(effective, view.columns, row_dict, outer_scope)
-                if core.where is not None and not evaluator.truth(core.where, scope):
-                    continue
-                values = self._project(core, scope, source_columns, evaluator)
-                out_rows.append(_ProjectedRow(tuple(values), scope))
-        return self._core_output_columns(core, source_columns), out_rows
+                yield arm_row.values
+
+    def _bare_table_item(self, core: ast.SelectCore) -> Optional[Table]:
+        """The table a ``SELECT <one item> FROM table`` core reads whole,
+        with no WHERE, join or grouping; None for any other core."""
+        if core.where is not None or core.joins or core.group_by or core.having:
+            return None
+        if core.source is None or core.source.name is None or len(core.items) != 1:
+            return None
+        table = self.tables.get(core.source.name.lower())
+        return table if table is not None and table.pk_column is not None else None
+
+    def _pk_extreme(
+        self, core: ast.SelectCore
+    ) -> Optional[Tuple[List[str], List[_ProjectedRow]]]:
+        """Answer ``SELECT MIN(pk)`` / ``MAX(pk)`` over a bare base table
+        from its primary-key index."""
+        table = self._bare_table_item(core)
+        if table is None:
+            return None
+        call = core.items[0].expr
+        name = core.source.effective_name
+        if (
+            not isinstance(call, ast.FunctionCall)
+            or call.name not in ("min", "max")
+            or len(call.args) != 1
+            or not _names_column(call.args[0], table.pk_column, name)
+        ):
+            return None
+        pick = min if call.name == "min" else max
+        keys = table.pk_index.keys()
+        try:
+            value = pick(keys, default=None)
+        except TypeError:  # mixed types: order them as SQL does
+            value = pick(keys, key=sql_sort_key)
+        columns = self._core_output_columns(core, [(name, [c.name for c in table.columns])])
+        return columns, [_ProjectedRow((value,), Scope({}))]
+
+    def _pk_key_set(self, select: ast.Select) -> Optional[frozenset]:
+        """The keys of ``SELECT pk FROM table``, read from the table's index
+        for an ``IN (...)`` probe; None for any other subquery."""
+        if select.is_compound or select.limit is not None or select.offset is not None:
+            return None
+        core = select.cores[0]
+        table = self._bare_table_item(core)
+        if table is None or not _names_column(
+            core.items[0].expr, table.pk_column, core.source.effective_name
+        ):
+            return None
+        return frozenset(table.pk_index)
 
     def _core_output_columns(
         self, core: ast.SelectCore, source_columns: List[Tuple[str, List[str]]]
@@ -755,35 +970,40 @@ class Database:
         order_by: List[ast.OrderItem],
         evaluator: Evaluator,
     ) -> List[_ProjectedRow]:
+        if len(rows) < 2:
+            return rows
         lowered = [c.lower() for c in columns]
-
-        def sort_key_values(row: _ProjectedRow) -> List[object]:
-            keys: List[object] = []
-            for item in order_by:
-                expr = item.expr
-                if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                    keys.append(row.values[expr.value - 1])
-                    continue
-                if isinstance(expr, ast.Column) and expr.table is None:
-                    name = expr.name.lower()
-                    if name in lowered:
-                        keys.append(row.values[lowered.index(name)])
-                        continue
-                keys.append(evaluator.evaluate(expr, row.scope))
-            return keys
-
-        import functools
-
-        def compare(a: _ProjectedRow, b: _ProjectedRow) -> int:
-            keys_a = sort_key_values(a)
-            keys_b = sort_key_values(b)
-            for item, ka, kb in zip(order_by, keys_a, keys_b):
-                order = sql_compare(ka, kb)
-                if order != 0:
-                    return -order if item.descending else order
-            return 0
-
-        return sorted(rows, key=functools.cmp_to_key(compare))
+        # Each term reads a projected position, or evaluates its expression.
+        positions: List[Optional[int]] = []
+        for item in order_by:
+            expr = item.expr
+            position = None
+            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+                position = expr.value - 1
+            elif isinstance(expr, ast.Column) and expr.table is None:
+                name = expr.name.lower()
+                if name in lowered:
+                    position = lowered.index(name)
+            positions.append(position)
+        keyed = [
+            (
+                tuple(
+                    sql_sort_key(
+                        row.values[position]
+                        if position is not None
+                        else evaluator.evaluate(item.expr, row.scope)
+                    )
+                    for item, position in zip(order_by, positions)
+                ),
+                row,
+            )
+            for row in rows
+        ]
+        # Stable sorts from the last term to the first give the
+        # lexicographic order, each term in its own direction.
+        for index in reversed(range(len(order_by))):
+            keyed.sort(key=lambda pair: pair[0][index], reverse=order_by[index].descending)
+        return [row for _key, row in keyed]
 
     # ------------------------------------------------------------------
     # DML
@@ -816,6 +1036,31 @@ class Database:
             lastrowid = table.insert_row(row, or_replace=statement.or_replace)
         return ResultSet(rowcount=len(value_rows), lastrowid=lastrowid)
 
+    @staticmethod
+    def _check_assignments(statement: ast.Update, columns: Sequence[str]) -> None:
+        """Reject unknown SET columns before any row is looked at."""
+        known = {c.lower() for c in columns}
+        unknown = {column.lower() for column, _expr in statement.assignments} - known
+        if unknown:
+            raise SqlNameError(f"no such columns in UPDATE: {sorted(unknown)}")
+
+    def _table_matches(
+        self,
+        table: Table,
+        where: Optional[ast.Expr],
+        evaluator: Evaluator,
+        scope: Optional[Scope],
+    ) -> Iterator[Tuple[int, Scope]]:
+        """(rowid, scope) of each row of ``table`` an UPDATE or DELETE with
+        ``where`` touches, read by primary key when it can be. Each row's
+        WHERE is evaluated only when the caller asks for the next match."""
+        rowids = self._pk_rowids(table, (where, None, table.name), evaluator) if where else None
+        make = self._scope_maker(table.name, table.column_names)
+        for rowid in list(table.rows) if rowids is None else rowids:
+            row_scope = make(table.rows[rowid], scope)
+            if evaluator.truth(where, row_scope):
+                yield rowid, row_scope
+
     def _execute_update(
         self, statement: ast.Update, params: List[object], scope: Optional[Scope]
     ) -> ResultSet:
@@ -823,27 +1068,15 @@ class Database:
         if key in self.views:
             return self._update_view(statement, params, scope)
         table = self.table(statement.table)
+        self._check_assignments(statement, table.column_names)
         evaluator = self._evaluator(params)
         updated = 0
-        for rowid, row in list(table.rows.items()):
-            row_scope = self._scope_for(table.name, [c.name for c in table.columns], row, scope)
-            if not evaluator.truth(statement.where, row_scope):
-                continue
+        for rowid, row_scope in self._table_matches(table, statement.where, evaluator, scope):
             new_values = {
                 column.lower(): evaluator.evaluate(expr, row_scope)
                 for column, expr in statement.assignments
             }
-            unknown = set(new_values) - set(table.column_names)
-            if unknown:
-                raise SqlNameError(f"no such columns in UPDATE: {sorted(unknown)}")
-            if table.pk_column in new_values:
-                new_pk = new_values[table.pk_column]
-                clash = table.find_by_pk(new_pk)
-                if clash is not None and clash != rowid:
-                    raise SqlIntegrityError(
-                        f"UNIQUE constraint failed: {table.display_name}.{table.pk_column}"
-                    )
-            row.update(new_values)
+            table.update_row(rowid, new_values)
             updated += 1
         return ResultSet(rowcount=updated)
 
@@ -855,11 +1088,9 @@ class Database:
             return self._delete_from_view(statement, params, scope)
         table = self.table(statement.table)
         evaluator = self._evaluator(params)
-        doomed: List[int] = []
-        for rowid, row in table.rows.items():
-            row_scope = self._scope_for(table.name, [c.name for c in table.columns], row, scope)
-            if evaluator.truth(statement.where, row_scope):
-                doomed.append(rowid)
+        doomed = [
+            rowid for rowid, _scope in self._table_matches(table, statement.where, evaluator, scope)
+        ]
         removed = table.delete_rowids(doomed)
         return ResultSet(rowcount=removed)
 
@@ -913,25 +1144,52 @@ class Database:
             self._run_trigger(trigger, params, new_row=new_row, old_row=None)
         return ResultSet(rowcount=len(value_rows))
 
-    def _view_rows_with_scopes(
-        self, view: _View, params: List[object], scope: Optional[Scope]
+    def _view_rows(
+        self,
+        view: _View,
+        where: Optional[ast.Expr],
+        params: List[object],
+        scope: Optional[Scope],
     ) -> List[Dict[str, object]]:
-        result = self._execute_select(view.select, params, outer_scope=scope)
+        """The rows of ``view`` an UPDATE or DELETE with ``where`` considers.
+        When the planner would flatten the UNION ALL view and ``where`` pins
+        the primary key, each arm reads by its key instead of computing the
+        whole view."""
+        rows: Iterable[tuple]
+        if view.select.is_compound and planner.should_flatten(
+            view.select, [], None, self.sqlite_emulation
+        ):
+            rows = self._arm_rows(view, where, view.name, params, self._evaluator(params), scope)
+        else:
+            rows = self._execute_select(view.select, params, outer_scope=scope).rows
         lowered = [c.lower() for c in view.columns]
-        return [dict(zip(lowered, row)) for row in result.rows]
+        return [dict(zip(lowered, row)) for row in rows]
+
+    def _view_matches(
+        self,
+        view: _View,
+        where: Optional[ast.Expr],
+        params: List[object],
+        evaluator: Evaluator,
+        scope: Optional[Scope],
+    ) -> Iterator[Tuple[Dict[str, object], Scope]]:
+        """(row, scope) of each view row the statement's ``where`` selects,
+        evaluated as the caller iterates (its triggers run in between)."""
+        make = self._scope_maker(view.name, view.columns)
+        for row in self._view_rows(view, where, params, scope):
+            row_scope = make(row, scope)
+            if evaluator.truth(where, row_scope):
+                yield row, row_scope
 
     def _update_view(
         self, statement: ast.Update, params: List[object], scope: Optional[Scope]
     ) -> ResultSet:
         view = self.views[statement.table.lower()]
         trigger = self._view_trigger(statement.table.lower(), "UPDATE")
+        self._check_assignments(statement, view.columns)
         evaluator = self._evaluator(params)
-        rows = self._view_rows_with_scopes(view, params, scope)
         updated = 0
-        for row in rows:
-            row_scope = self._scope_for(view.name, view.columns, row, scope)
-            if not evaluator.truth(statement.where, row_scope):
-                continue
+        for row, row_scope in self._view_matches(view, statement.where, params, evaluator, scope):
             new_row = dict(row)
             for column, expr in statement.assignments:
                 new_row[column.lower()] = evaluator.evaluate(expr, row_scope)
@@ -945,12 +1203,8 @@ class Database:
         view = self.views[statement.table.lower()]
         trigger = self._view_trigger(statement.table.lower(), "DELETE")
         evaluator = self._evaluator(params)
-        rows = self._view_rows_with_scopes(view, params, scope)
         deleted = 0
-        for row in rows:
-            row_scope = self._scope_for(view.name, view.columns, row, scope)
-            if not evaluator.truth(statement.where, row_scope):
-                continue
+        for row, _scope in self._view_matches(view, statement.where, params, evaluator, scope):
             self._run_trigger(trigger, params, new_row=None, old_row=row)
             deleted += 1
         return ResultSet(rowcount=deleted)

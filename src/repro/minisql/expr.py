@@ -102,6 +102,11 @@ def sql_compare(a: object, b: object) -> int:
     return -1 if a < b else 1  # type: ignore[operator]
 
 
+def sql_sort_key(value: object) -> tuple:
+    """A sort key that orders values as :func:`sql_compare` does."""
+    return (_TYPE_RANK.get(type(value), 4), value)
+
+
 def _compare_op(op: str, left: object, right: object) -> Optional[int]:
     if left is None or right is None:
         return None
@@ -286,15 +291,20 @@ class Evaluator:
     ``subquery_runner`` is provided by the engine: it executes a
     :class:`~repro.minisql.ast_nodes.Select` with the current scope as the
     outer scope and returns the result rows (list of tuples).
+    ``key_set_runner``, also the engine's, answers ``IN (SELECT pk FROM t)``
+    from t's primary-key index: it returns the key set, or None when the
+    subquery has another shape.
     """
 
     def __init__(
         self,
         params: Sequence[object],
         subquery_runner: Optional[Callable[[ast.Select, Scope], List[tuple]]] = None,
+        key_set_runner: Optional[Callable[[ast.Select], Optional[frozenset]]] = None,
     ) -> None:
         self.params = params
         self.subquery_runner = subquery_runner
+        self.key_set_runner = key_set_runner
         # Results of uncorrelated subqueries, valid for this statement
         # execution (SQLite likewise evaluates them once). Keyed by the AST
         # node identity.
@@ -383,20 +393,26 @@ class Evaluator:
             value = self.evaluate(expr.operand, scope)
             if value is None:
                 return None
-            rows = self._run_subquery(expr.select, scope)
-            membership = None
-            if self._subquery_cache.get(id(expr.select)) is rows:
-                # Hash-probe fast path, only for cached (uncorrelated)
-                # subqueries — their row list identity is stable for the
-                # whole statement. Ints/strings hash compatibly with SQL
-                # equality; unhashable values fall back to the scan.
-                membership = self._membership_sets.get(id(expr.select))
-                if membership is None and id(expr.select) not in self._membership_sets:
-                    try:
-                        membership = frozenset(row[0] for row in rows if row)
-                    except TypeError:
-                        membership = None
-                    self._membership_sets[id(expr.select)] = membership
+            key = id(expr.select)
+            membership = self._membership_sets.get(key)
+            if membership is None and key not in self._membership_sets and self.key_set_runner:
+                membership = self.key_set_runner(expr.select)
+                if membership is not None:
+                    self._membership_sets[key] = membership
+            if membership is None:
+                rows = self._run_subquery(expr.select, scope)
+                if self._subquery_cache.get(key) is rows:
+                    # Hash-probe fast path, only for cached (uncorrelated)
+                    # subqueries — their row list identity is stable for the
+                    # whole statement. Ints/strings hash compatibly with SQL
+                    # equality; unhashable values fall back to the scan.
+                    membership = self._membership_sets.get(key)
+                    if membership is None and key not in self._membership_sets:
+                        try:
+                            membership = frozenset(row[0] for row in rows if row)
+                        except TypeError:
+                            membership = None
+                        self._membership_sets[key] = membership
             if membership is not None:
                 found = value in membership
             else:

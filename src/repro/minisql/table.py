@@ -2,10 +2,12 @@
 
 Rows are stored as dictionaries keyed by rowid. A column declared
 ``INTEGER PRIMARY KEY`` aliases the rowid (as in SQLite) and autoincrements
-from ``max(existing) + 1``. The COW proxy relies on being able to start a
-delta table's key space at a large offset ``N`` to avoid collisions with
-the primary table (paper section 5.2); :meth:`Table.set_autoincrement_base`
-provides that.
+from ``max(existing) + 1``. Every primary-key column is indexed: the
+table maintains ``pk_index`` (pk value -> rowid) on each insert, update
+and delete, so uniqueness checks and ``pk = ?`` lookups are one probe.
+The COW proxy relies on being able to start a delta table's key space at
+a large offset ``N`` to avoid collisions with the primary table (paper
+section 5.2); :meth:`Table.set_autoincrement_base` provides that.
 """
 
 from __future__ import annotations
@@ -32,7 +34,10 @@ class Table:
             c.primary_key and c.type_name == "INTEGER" for c in columns
         )
         self.rows: Dict[int, Dict[str, object]] = {}
-        self._next_rowid = 1
+        # pk value -> rowid; NULL keys are not indexed (NULL equals nothing).
+        self.pk_index: Dict[object, int] = {}
+        # The largest integer key (or 0), which allocation continues from.
+        self._top_int_pk = 0
         self._autoincrement_base = 1
         self._rowid_counter = 0
 
@@ -52,13 +57,37 @@ class Table:
         self._autoincrement_base = base
 
     def _allocate_pk(self) -> int:
-        current_max = 0
+        return max(self._top_int_pk + 1, self._autoincrement_base)
+
+    def _check_key(self, value: object) -> None:
+        """Reject a pk value the index cannot hold (SQL values all hash)."""
+        try:
+            hash(value)
+        except TypeError:
+            raise SqlIntegrityError(
+                f"datatype mismatch: {self.display_name}.{self.pk_column}"
+            ) from None
+
+    def _index_add(self, value: object, rowid: int) -> None:
+        if value is None:
+            return
+        self.pk_index[value] = rowid
+        if isinstance(value, int) and value > self._top_int_pk:
+            self._top_int_pk = value
+
+    def _index_remove(self, value: object) -> None:
+        if value is None:
+            return
+        del self.pk_index[value]
+        if isinstance(value, int) and value == self._top_int_pk:
+            self._top_int_pk = max(
+                [0] + [key for key in self.pk_index if isinstance(key, int)]
+            )
+
+    def _remove_rowid(self, rowid: int) -> None:
+        row = self.rows.pop(rowid)
         if self.pk_column is not None:
-            for row in self.rows.values():
-                value = row.get(self.pk_column)
-                if isinstance(value, int) and value > current_max:
-                    current_max = value
-        return max(current_max + 1, self._autoincrement_base)
+            self._index_remove(row.get(self.pk_column))
 
     def _next_internal_rowid(self) -> int:
         self._rowid_counter += 1
@@ -95,13 +124,14 @@ class Table:
                 )
         if self.pk_column is not None:
             pk_value = row[self.pk_column]
+            self._check_key(pk_value)
             existing = self.find_by_pk(pk_value)
             if existing is not None:
                 if not or_replace:
                     raise SqlIntegrityError(
                         f"UNIQUE constraint failed: {self.display_name}.{self.pk_column}"
                     )
-                self.rows.pop(existing)
+                self._remove_rowid(existing)
         for column in self.columns:
             if column.unique and not column.primary_key:
                 key = column.name.lower()
@@ -116,27 +146,46 @@ class Table:
                         raise SqlIntegrityError(
                             f"UNIQUE constraint failed: {self.display_name}.{column.name}"
                         )
-                    self.rows.pop(clash)
+                    self._remove_rowid(clash)
         rowid = self._next_internal_rowid()
         self.rows[rowid] = row
+        if self.pk_column is not None:
+            self._index_add(row[self.pk_column], rowid)
         if self.pk_is_integer and isinstance(row.get(self.pk_column), int):
             return int(row[self.pk_column])  # type: ignore[arg-type]
         return rowid
 
     def find_by_pk(self, value: object) -> Optional[int]:
         """Return the internal rowid whose PK equals ``value``, if any."""
-        if self.pk_column is None:
+        if value is None:
             return None
-        for rowid, row in self.rows.items():
-            if row.get(self.pk_column) == value and value is not None:
-                return rowid
-        return None
+        try:
+            return self.pk_index.get(value)
+        except TypeError:  # unhashable: no row can hold it
+            return None
+
+    def update_row(self, rowid: int, values: Dict[str, object]) -> None:
+        """Assign ``values`` to one row, keeping the pk unique and indexed."""
+        row = self.rows[rowid]
+        if self.pk_column in values:
+            new_pk = values[self.pk_column]
+            self._check_key(new_pk)
+            clash = self.find_by_pk(new_pk)
+            if clash is not None and clash != rowid:
+                raise SqlIntegrityError(
+                    f"UNIQUE constraint failed: {self.display_name}.{self.pk_column}"
+                )
+            self._index_remove(row.get(self.pk_column))
+            row.update(values)
+            self._index_add(new_pk, rowid)
+        else:
+            row.update(values)
 
     def delete_rowids(self, rowids: List[int]) -> int:
         removed = 0
         for rowid in rowids:
             if rowid in self.rows:
-                del self.rows[rowid]
+                self._remove_rowid(rowid)
                 removed += 1
         return removed
 

@@ -13,6 +13,8 @@ Invariants:
 
 from __future__ import annotations
 
+from functools import cmp_to_key
+
 from hypothesis import given, settings, strategies as st
 
 from repro.minisql import Database
@@ -65,6 +67,28 @@ class TestOrdering:
         got = [r[0] for r in db.execute("SELECT v FROM t ORDER BY v").rows]
         for left, right in zip(got, got[1:]):
             assert sql_compare(left, right) <= 0
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.one_of(numbers, texts, st.none()), st.sampled_from([1, 2.5, "x", None])),
+            min_size=0,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_multi_key_order_is_stable_and_directed(self, rows):
+        # Reference: one comparator over both terms, a DESC, b ASC, ties
+        # kept in insertion order.
+        def compare(left, right):
+            return -sql_compare(left[1], right[1]) or sql_compare(left[2], right[2])
+
+        db = Database()
+        db.execute("CREATE TABLE t (_id INTEGER PRIMARY KEY, a, b)")
+        for a, b in rows:
+            db.execute("INSERT INTO t (a, b) VALUES (?, ?)", [a, b])
+        got = db.execute("SELECT _id, a, b FROM t ORDER BY a DESC, b").rows
+        want = sorted(db.execute("SELECT _id, a, b FROM t").rows, key=cmp_to_key(compare))
+        assert got == want
 
 
 # --- COW view algebra -------------------------------------------------------
