@@ -9,6 +9,7 @@ Maxoid COW proxy is built from.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -20,13 +21,18 @@ from repro.errors import (
 from repro.minisql import ast_nodes as ast
 from repro.minisql import planner
 from repro.minisql.expr import (
-    EMPTY_SCOPE,
+    BINARY,
+    UNARY,
     Evaluator,
+    Program,
     Scope,
+    compile_program,
     contains_aggregate,
     is_aggregate_call,
+    is_true,
     sql_compare,
     sql_sort_key,
+    sql_sort_keys,
 )
 from repro.minisql.parser import parse
 from repro.minisql.table import Table
@@ -64,6 +70,7 @@ class _View:
     name: str
     select: ast.Select
     columns: List[str]
+    program: Program
 
 
 @dataclass
@@ -72,15 +79,16 @@ class _Trigger:
     event: str
     view: str
     body: List[ast.TriggerAction]
+    program: Program
 
 
 class _ProjectedRow:
     """A projected output row plus the scope it came from (for ORDER BY on
-    non-projected columns)."""
+    non-projected columns; None when no such term needs it)."""
 
     __slots__ = ("values", "scope")
 
-    def __init__(self, values: tuple, scope: Scope) -> None:
+    def __init__(self, values: tuple, scope: Optional[Scope]) -> None:
         self.values = values
         self.scope = scope
 
@@ -140,6 +148,19 @@ def _pk_terms(table: Table, access: Optional[Access]) -> Optional[List[ast.Expr]
     return None
 
 
+def _ordinal(number: int) -> str:
+    """``1st``, ``2nd``, ``3rd``, ``4th``, ... ``11th``, ``21st``."""
+    suffix = {1: "st", 2: "nd", 3: "rd"}.get(number % 10, "th")
+    if 10 <= number % 100 <= 20:
+        suffix = "th"
+    return f"{number}{suffix}"
+
+
+def _binding(key: str) -> Callable[[Evaluator, Scope], object]:
+    """Read one column of a ``*`` expansion from a row's own bindings."""
+    return lambda evaluator, scope: scope.bindings[key]
+
+
 class Database:
     """An in-memory SQL database.
 
@@ -162,7 +183,9 @@ class Database:
         self.triggers: Dict[str, Dict[str, _Trigger]] = {}
         self.sqlite_emulation = sqlite_emulation
         self.stats = planner.PlannerStats()
-        self._statement_cache: Dict[str, ast.Statement] = {}
+        # SQL text -> (statement, its compiled expressions); the programs
+        # live and die with their statements.
+        self._statement_cache: Dict[str, Tuple[ast.Statement, Program]] = {}
         self._cache_limit = 512
 
     # ------------------------------------------------------------------
@@ -183,18 +206,20 @@ class Database:
         return self._execute_impl(sql, params)
 
     def _execute_impl(self, sql: str, params: Sequence[object]) -> ResultSet:
-        statement = self._statement_cache.get(sql)
-        if statement is None:
+        cached = self._statement_cache.get(sql)
+        if cached is None:
             statement = parse(sql)
+            cached = (statement, compile_program(statement))
             if len(self._statement_cache) >= self._cache_limit:
                 self._statement_cache.clear()
-            self._statement_cache[sql] = statement
+            self._statement_cache[sql] = cached
+        statement, program = cached
         required = getattr(statement, "param_count", 0)
         if len(params) < required:
             raise SqlError(
                 f"statement requires {required} parameters, got {len(params)}: {sql!r}"
             )
-        result = self._dispatch(statement, list(params))
+        result = self._dispatch(statement, list(params), program)
         if (
             self.obs.prov
             and isinstance(statement, ast.Insert)
@@ -307,16 +332,20 @@ class Database:
     # ------------------------------------------------------------------
 
     def _dispatch(
-        self, statement: ast.Statement, params: List[object], scope: Optional[Scope] = None
+        self,
+        statement: ast.Statement,
+        params: List[object],
+        program: Program,
+        scope: Optional[Scope] = None,
     ) -> ResultSet:
         if isinstance(statement, ast.Select):
-            return self._execute_select(statement, params, outer_scope=scope)
+            return self._execute_select(statement, params, program, outer_scope=scope)
         if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, params, scope)
+            return self._execute_insert(statement, params, program, scope)
         if isinstance(statement, ast.Update):
-            return self._execute_update(statement, params, scope)
+            return self._execute_update(statement, params, program, scope)
         if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement, params, scope)
+            return self._execute_delete(statement, params, program, scope)
         if isinstance(statement, ast.CreateTable):
             return self._execute_create_table(statement)
         if isinstance(statement, ast.CreateView):
@@ -327,11 +356,12 @@ class Database:
             return self._execute_drop(statement)
         raise SqlError(f"cannot execute {type(statement).__name__}")
 
-    def _evaluator(self, params: Sequence[object]) -> Evaluator:
+    def _evaluator(self, params: List[object], program: Program) -> Evaluator:
         return Evaluator(
             params,
+            program,
             subquery_runner=lambda select, scope: self._execute_select(
-                select, list(params), outer_scope=scope
+                select, params, program, outer_scope=scope
             ).rows,
             key_set_runner=self._pk_key_set,
         )
@@ -355,8 +385,7 @@ class Database:
             if statement.if_not_exists:
                 return ResultSet()
             raise SqlNameError(f"view {statement.name} already exists")
-        columns = self._select_output_columns(statement.select)
-        self.views[key] = _View(name=statement.name, select=statement.select, columns=columns)
+        self._define(statement.name, statement.select)
         return ResultSet()
 
     def define_view(self, name: str, select: ast.Select) -> None:
@@ -369,8 +398,13 @@ class Database:
         key = name.lower()
         if key in self.tables or key in self.views:
             raise SqlNameError(f"view {name} already exists")
+        self._define(name, select)
+
+    def _define(self, name: str, select: ast.Select) -> None:
         columns = self._select_output_columns(select)
-        self.views[key] = _View(name=name, select=select, columns=columns)
+        self.views[name.lower()] = _View(
+            name=name, select=select, columns=columns, program=compile_program(select)
+        )
 
     def _execute_create_trigger(self, statement: ast.CreateTrigger) -> ResultSet:
         view_key = statement.view.lower()
@@ -386,6 +420,7 @@ class Database:
             event=statement.event,
             view=statement.view,
             body=statement.body,
+            program=compile_program(*(action.statement for action in statement.body)),
         )
         return ResultSet()
 
@@ -459,35 +494,36 @@ class Database:
     def _source_rows(
         self,
         ref: ast.TableRef,
-        params: List[object],
+        evaluator: Evaluator,
         outer_scope: Optional[Scope],
-        evaluator: Optional[Evaluator] = None,
         access: Optional[Access] = None,
-    ) -> Tuple[List[str], List[Dict[str, object]]]:
-        """Produce (column names, row dicts) for a FROM source; a base table
-        reads only its primary-key candidates when ``access`` allows."""
+    ) -> Tuple[List[str], Iterable[Dict[str, object]]]:
+        """Produce (column names, row dicts keyed by lowercased column) for
+        a FROM source; a base table reads only its primary-key candidates
+        when ``access`` allows, and hands out its stored rows, which the
+        statement only reads."""
+        params = evaluator.params
         if ref.subquery is not None:
-            result = self._execute_select(ref.subquery, params, outer_scope=outer_scope)
-            rows = [dict(zip([c.lower() for c in result.columns], row)) for row in result.rows]
-            return result.columns, rows
+            result = self._execute_select(
+                ref.subquery, params, evaluator.program, outer_scope=outer_scope
+            )
+            lowered = [c.lower() for c in result.columns]
+            return result.columns, [dict(zip(lowered, row)) for row in result.rows]
         assert ref.name is not None
         key = ref.name.lower()
         if key in self.tables:
             table = self.tables[key]
-            rowids = self._pk_rowids(table, access, evaluator) if evaluator else None
-            stored = (
-                table.rows.values() if rowids is None else [table.rows[r] for r in rowids]
-            )
-            rows = [dict(row) for row in stored]
+            rowids = self._pk_rowids(table, access, evaluator)
+            rows = table.rows.values() if rowids is None else [table.rows[r] for r in rowids]
             self.stats.rows_scanned += len(rows)
             return [c.name for c in table.columns], rows
         if key in self.views:
             view = self.views[key]
-            result = self._execute_select(view.select, params, outer_scope=outer_scope)
+            result = self._execute_select(view.select, params, view.program, outer_scope)
             self.stats.materialized_views += 1
             self.stats.materialized_rows += len(result.rows)
-            rows = [dict(zip([c.lower() for c in view.columns], row)) for row in result.rows]
-            return list(view.columns), rows
+            lowered = [c.lower() for c in view.columns]
+            return list(view.columns), [dict(zip(lowered, row)) for row in result.rows]
         raise SqlNameError(f"no such table: {ref.name}")
 
     def _pk_rowids(
@@ -502,7 +538,7 @@ class Database:
             return None
         rowids = set()
         for term in terms:
-            value = evaluator.evaluate(term, EMPTY_SCOPE)
+            value = evaluator.constant(term)
             if value is None:
                 continue
             try:
@@ -521,42 +557,55 @@ class Database:
         return (core.where, None, core.source.effective_name)
 
     @staticmethod
-    def _scope_maker(
-        name: str, columns: Sequence[str]
-    ) -> Callable[[Dict[str, object], Optional[Scope]], Scope]:
-        """A function building one row's scope, which binds each column
-        bare and as ``name.col``; the key strings are built once."""
-        lowered = name.lower()
-        keys = [(c.lower(), f"{lowered}.{c.lower()}") for c in columns]
+    def _merged(scope: Scope) -> Dict[str, object]:
+        """A scope's bindings keyed both bare and ``source.column``, the
+        form a join's merged scope holds."""
+        if scope.name is None:
+            return scope.bindings
+        merged = dict(scope.bindings)
+        merged.update({f"{scope.name}.{k}": v for k, v in scope.bindings.items()})
+        return merged
 
-        def make(row: Dict[str, object], outer: Optional[Scope]) -> Scope:
-            bindings: Dict[str, object] = {}
-            for key, qualified in keys:
-                value = row.get(key)
-                bindings[key] = value
-                bindings[qualified] = value
-            return Scope(bindings, outer)
-
-        return make
-
-    @staticmethod
-    def _merge_scopes(base: Scope, extra: Scope) -> Scope:
-        merged = dict(base.bindings)
-        merged.update(extra.bindings)
-        return Scope(merged, extra.outer or base.outer)
+    def _join(
+        self,
+        scopes: List[Scope],
+        join: ast.Join,
+        evaluator: Evaluator,
+        outer_scope: Optional[Scope],
+    ) -> Tuple[List[str], List[Scope]]:
+        """Join each of ``scopes`` with the rows of ``join``'s source; the
+        results are merged scopes."""
+        name = join.table.effective_name.lower()
+        columns, rows = self._source_rows(join.table, evaluator, outer_scope)
+        right = [self._merged(Scope(row, None, name)) for row in rows]
+        on = evaluator.code(join.on) if join.on is not None else None
+        joined: List[Scope] = []
+        for left_scope in scopes:
+            left = self._merged(left_scope)
+            matched = False
+            for bindings in right:
+                candidate = Scope({**left, **bindings}, outer_scope)
+                if on is None or is_true(on(evaluator, candidate)):
+                    joined.append(candidate)
+                    matched = True
+            if join.kind == "LEFT" and not matched:
+                nulls = Scope({c.lower(): None for c in columns}, None, name)
+                joined.append(Scope({**left, **self._merged(nulls)}, outer_scope))
+        return columns, joined
 
     def _execute_select(
         self,
         select: ast.Select,
         params: List[object],
+        program: Program,
         outer_scope: Optional[Scope] = None,
     ) -> ResultSet:
-        evaluator = self._evaluator(params)
+        evaluator = self._evaluator(params, program)
         projected: List[_ProjectedRow] = []
         columns: List[str] = []
         for index, core in enumerate(select.cores):
             core_columns, core_rows = self._execute_core(
-                core, select, params, evaluator, outer_scope
+                core, select, evaluator, outer_scope
             )
             if index == 0:
                 columns = core_columns
@@ -566,14 +615,14 @@ class Database:
         # ORDER BY over the compound result.
         if select.order_by:
             projected = self._order_rows(projected, columns, select.order_by, evaluator)
-        # LIMIT / OFFSET
+        # LIMIT / OFFSET; a negative offset counts as 0, as in SQLite.
         if select.limit is not None or select.offset is not None:
             scope = outer_scope or Scope({})
             offset = 0
             if select.offset is not None:
-                offset = int(evaluator.evaluate(select.offset, scope) or 0)
+                offset = max(0, int(evaluator.value(select.offset, scope) or 0))
             if select.limit is not None:
-                limit = evaluator.evaluate(select.limit, scope)
+                limit = evaluator.value(select.limit, scope)
                 if limit is not None and int(limit) >= 0:
                     projected = projected[offset : offset + int(limit)]
                 else:
@@ -599,7 +648,6 @@ class Database:
         self,
         core: ast.SelectCore,
         enclosing: ast.Select,
-        params: List[object],
         evaluator: Evaluator,
         outer_scope: Optional[Scope],
         access: Optional[Access] = None,
@@ -608,7 +656,7 @@ class Database:
         down from an enclosing query over a UNION ALL view; without one the
         core's own WHERE is searched for a key term."""
         # --- planner hook: flattened execution over a UNION ALL view -----
-        flattened = self._try_flattened_view(core, enclosing, params, evaluator, outer_scope)
+        flattened = self._try_flattened_view(core, enclosing, evaluator, outer_scope)
         if flattened is not None:
             return flattened
         extreme = self._pk_extreme(core)
@@ -622,34 +670,18 @@ class Database:
         else:
             name = core.source.effective_name
             cols, rows = self._source_rows(
-                core.source, params, outer_scope, evaluator, access or self._core_access(core)
+                core.source, evaluator, outer_scope, access or self._core_access(core)
             )
             source_columns.append((name, cols))
-            make = self._scope_maker(name, cols)
-            scopes = [make(row, outer_scope) for row in rows]
+            lowered = name.lower()
+            scopes = [Scope(row, outer_scope, lowered) for row in rows]
             for join in core.joins:
-                join_name = join.table.effective_name
-                join_cols, join_rows = self._source_rows(join.table, params, outer_scope)
-                source_columns.append((join_name, join_cols))
-                make_join = self._scope_maker(join_name, join_cols)
-                join_scopes = [make_join(row, outer_scope) for row in join_rows]
-                joined: List[Scope] = []
-                for left_scope in scopes:
-                    matched = False
-                    for right_scope in join_scopes:
-                        candidate = self._merge_scopes(left_scope, right_scope)
-                        if join.on is None or evaluator.truth(join.on, candidate):
-                            joined.append(candidate)
-                            matched = True
-                    if join.kind == "LEFT" and not matched:
-                        null_row = {c.lower(): None for c in join_cols}
-                        joined.append(
-                            self._merge_scopes(left_scope, make_join(null_row, outer_scope))
-                        )
-                scopes = joined
+                join_cols, scopes = self._join(scopes, join, evaluator, outer_scope)
+                source_columns.append((join.table.effective_name, join_cols))
         # --- WHERE -----------------------------------------------------------
         if core.where is not None:
-            scopes = [s for s in scopes if evaluator.truth(core.where, s)]
+            where = evaluator.code(core.where)
+            scopes = [s for s in scopes if is_true(where(evaluator, s))]
         # --- aggregate or plain projection ------------------------------------
         has_aggregates = any(contains_aggregate(item.expr) for item in core.items) or (
             core.having is not None and contains_aggregate(core.having)
@@ -658,10 +690,8 @@ class Database:
         if core.group_by or has_aggregates:
             rows = self._aggregate(core, scopes, columns, evaluator)
         else:
-            rows = []
-            for scope in scopes:
-                values = self._project(core, scope, source_columns, evaluator)
-                rows.append(_ProjectedRow(tuple(values), scope))
+            project = self._projector(core, source_columns, evaluator, bool(core.joins))
+            rows = [_ProjectedRow(project(scope), scope) for scope in scopes]
         if core.distinct:
             seen = set()
             unique: List[_ProjectedRow] = []
@@ -727,47 +757,88 @@ class Database:
         self,
         core: ast.SelectCore,
         enclosing: ast.Select,
-        params: List[object],
         evaluator: Evaluator,
         outer_scope: Optional[Scope],
     ) -> Optional[Tuple[List[str], List[_ProjectedRow]]]:
         """Execute ``SELECT ... FROM union_all_view WHERE ...`` by pushing
         the work (and any primary-key lookup) into the view's arms when the
-        planner allows it."""
+        planner allows it.
+
+        When the select list names only view columns, each arm row maps to
+        the output by positions worked out once; a row gets a scope only
+        when the WHERE or a non-projected ORDER BY term reads one."""
         view = self._flattened_view(core, enclosing)
         if view is None:
             return None
         self.stats.flattened_queries += 1
         effective = core.source.effective_name
-        view_columns_lower = [c.lower() for c in view.columns]
-        out_rows: List[_ProjectedRow] = []
+        name = effective.lower()
+        lowered = [c.lower() for c in view.columns]
         source_columns = [(effective, list(view.columns))]
-        make = self._scope_maker(effective, view.columns)
-        for arm_values in self._arm_rows(
-            view, core.where, effective, params, evaluator, outer_scope
-        ):
-            scope = make(dict(zip(view_columns_lower, arm_values)), outer_scope)
-            if core.where is not None and not evaluator.truth(core.where, scope):
-                continue
-            values = self._project(core, scope, source_columns, evaluator)
-            out_rows.append(_ProjectedRow(tuple(values), scope))
-        return self._core_output_columns(core, source_columns), out_rows
+        columns = self._core_output_columns(core, source_columns)
+        keys = self._plain_columns(core, lowered, name)
+        positions = None if keys is None else [lowered.index(key) for key in keys]
+        project = None
+        if positions is None:
+            project = self._projector(core, source_columns, evaluator, False)
+        elif positions == list(range(len(lowered))):
+            positions = None  # the arm row is the output row
+        scoped = (
+            project is not None
+            or core.where is not None
+            or (len(enclosing.cores) > 1 and bool(enclosing.order_by))
+            or None in self._order_positions(columns, enclosing.order_by)
+        )
+        where = evaluator.code(core.where) if core.where is not None else None
+        out_rows: List[_ProjectedRow] = []
+        for values in self._arm_rows(view, core.where, effective, evaluator, outer_scope):
+            scope = None
+            if scoped:
+                scope = Scope(dict(zip(lowered, values)), outer_scope, name)
+                if where is not None and not is_true(where(evaluator, scope)):
+                    continue
+            if project is not None:
+                values = project(scope)
+            elif positions is not None:
+                values = tuple([values[p] for p in positions])
+            out_rows.append(_ProjectedRow(values, scope))
+        return columns, out_rows
+
+    @staticmethod
+    def _plain_columns(
+        core: ast.SelectCore, lowered: List[str], name: str
+    ) -> Optional[List[str]]:
+        """The column of ``core``'s one source (``name``, with columns
+        ``lowered``) each output column reads, when the select list is
+        made only of ``*`` and plain columns of that source."""
+        keys: List[str] = []
+        for item in core.items:
+            expr = item.expr
+            qualifier = getattr(expr, "table", None)
+            if qualifier is not None and qualifier.lower() != name:
+                return None
+            if isinstance(expr, ast.Star):
+                keys.extend(lowered)
+            elif isinstance(expr, ast.Column) and expr.name.lower() in lowered:
+                keys.append(expr.name.lower())
+            else:
+                return None
+        return keys
 
     def _arm_rows(
         self,
         view: _View,
         where: Optional[ast.Expr],
         qualifier: str,
-        params: List[object],
         evaluator: Evaluator,
         outer_scope: Optional[Scope],
     ) -> Iterator[tuple]:
         """The rows of a flattened UNION ALL view, arm by arm, each arm
-        reading by primary key when ``where`` (over the view) pins it."""
+        reading by primary key when ``where`` (over the view, searched with
+        ``evaluator``'s parameters) pins it."""
+        arms = self._evaluator(evaluator.params, view.program)
         for arm, access in zip(view.select.cores, self._arm_accesses(view, where, qualifier)):
-            _columns, arm_rows = self._execute_core(
-                arm, view.select, params, evaluator, outer_scope, access
-            )
+            _columns, arm_rows = self._execute_core(arm, view.select, arms, outer_scope, access)
             for arm_row in arm_rows:
                 yield arm_row.values
 
@@ -841,24 +912,36 @@ class Database:
                 names.append(f"col{len(names) + 1}")
         return names
 
-    def _project(
+    def _projector(
         self,
         core: ast.SelectCore,
-        scope: Scope,
         source_columns: List[Tuple[str, List[str]]],
         evaluator: Evaluator,
-    ) -> List[object]:
-        values: List[object] = []
+        joined: bool,
+    ) -> Callable[[Scope], tuple]:
+        """A function projecting one row's scope through ``core``'s select
+        list, whose items (and ``*`` key lists) are resolved once here; a
+        joined scope reads a ``*`` column by its qualified key."""
+        if not joined and source_columns:
+            name, columns = source_columns[0]
+            keys = self._plain_columns(core, [c.lower() for c in columns], name.lower())
+            if keys:
+                if len(keys) == 1:
+                    key = keys[0]
+                    return lambda scope: (scope.bindings[key],)
+                pick = operator.itemgetter(*keys)
+                return lambda scope: pick(scope.bindings)
+        codes: List[Callable[[Evaluator, Scope], object]] = []
         for item in core.items:
-            if isinstance(item.expr, ast.Star):
-                for table_name, cols in source_columns:
-                    if item.expr.table and table_name.lower() != item.expr.table.lower():
-                        continue
-                    for column in cols:
-                        values.append(scope.lookup(f"{table_name.lower()}.{column.lower()}"))
-            else:
-                values.append(evaluator.evaluate(item.expr, scope))
-        return values
+            if not isinstance(item.expr, ast.Star):
+                codes.append(evaluator.code(item.expr))
+                continue
+            for table_name, cols in source_columns:
+                if item.expr.table and table_name.lower() != item.expr.table.lower():
+                    continue
+                prefix = f"{table_name.lower()}." if joined else ""
+                codes.extend(_binding(prefix + column.lower()) for column in cols)
+        return lambda scope: tuple([code(evaluator, scope) for code in codes])
 
     # -- aggregation --------------------------------------------------------
 
@@ -872,10 +955,9 @@ class Database:
         groups: Dict[tuple, List[Scope]] = {}
         order: List[tuple] = []
         if core.group_by:
+            codes = [evaluator.code(expr) for expr in core.group_by]
             for scope in scopes:
-                key = tuple(
-                    self._hashable(evaluator.evaluate(expr, scope)) for expr in core.group_by
-                )
+                key = tuple(self._hashable(code(evaluator, scope)) for code in codes)
                 if key not in groups:
                     groups[key] = []
                     order.append(key)
@@ -910,16 +992,11 @@ class Database:
         if isinstance(expr, ast.Binary):
             left = self._eval_aggregate_expr(expr.left, group, evaluator)
             right = self._eval_aggregate_expr(expr.right, group, evaluator)
-            synthetic = ast.Binary(
-                op=expr.op, left=ast.Literal(value=left), right=ast.Literal(value=right)
-            )
-            return evaluator.evaluate(synthetic, group[0] if group else Scope({}))
+            return BINARY[expr.op](left, right)
         if isinstance(expr, ast.Unary):
             inner = self._eval_aggregate_expr(expr.operand, group, evaluator)
-            synthetic = ast.Unary(op=expr.op, operand=ast.Literal(value=inner))
-            return evaluator.evaluate(synthetic, group[0] if group else Scope({}))
-        scope = group[0] if group else Scope({})
-        return evaluator.evaluate(expr, scope)
+            return UNARY[expr.op](inner)
+        return evaluator.value(expr, group[0] if group else Scope({}))
 
     def _compute_aggregate(
         self, call: ast.FunctionCall, group: List[Scope], evaluator: Evaluator
@@ -930,7 +1007,8 @@ class Database:
             raise SqlError(f"{call.name}(*) is not supported")
         if not call.args:
             raise SqlError(f"aggregate {call.name}() needs an argument")
-        values = [evaluator.evaluate(call.args[0], scope) for scope in group]
+        argument = evaluator.code(call.args[0])
+        values = [argument(evaluator, scope) for scope in group]
         present = [v for v in values if v is not None]
         if call.distinct:
             deduped: List[object] = []
@@ -963,6 +1041,32 @@ class Database:
 
     # -- ordering -------------------------------------------------------------
 
+    @staticmethod
+    def _order_positions(
+        columns: List[str], order_by: List[ast.OrderItem]
+    ) -> List[Optional[int]]:
+        """The output column each ORDER BY term reads: an ordinal, or a
+        bare name of an output column; None for a term evaluated per row.
+        An ordinal outside ``1..len(columns)`` is an error, as in SQLite."""
+        lowered = [c.lower() for c in columns]
+        positions: List[Optional[int]] = []
+        for index, item in enumerate(order_by, start=1):
+            expr = item.expr
+            position = None
+            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+                if not 1 <= expr.value <= len(columns):
+                    raise SqlError(
+                        f"{_ordinal(index)} ORDER BY term out of range - "
+                        f"should be between 1 and {len(columns)}"
+                    )
+                position = expr.value - 1
+            elif isinstance(expr, ast.Column) and expr.table is None:
+                name = expr.name.lower()
+                if name in lowered:
+                    position = lowered.index(name)
+            positions.append(position)
+        return positions
+
     def _order_rows(
         self,
         rows: List[_ProjectedRow],
@@ -970,61 +1074,51 @@ class Database:
         order_by: List[ast.OrderItem],
         evaluator: Evaluator,
     ) -> List[_ProjectedRow]:
+        # Each term reads a projected position, or evaluates its expression.
+        positions = self._order_positions(columns, order_by)
         if len(rows) < 2:
             return rows
-        lowered = [c.lower() for c in columns]
-        # Each term reads a projected position, or evaluates its expression.
-        positions: List[Optional[int]] = []
-        for item in order_by:
-            expr = item.expr
-            position = None
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                position = expr.value - 1
-            elif isinstance(expr, ast.Column) and expr.table is None:
-                name = expr.name.lower()
-                if name in lowered:
-                    position = lowered.index(name)
-            positions.append(position)
-        keyed = [
-            (
-                tuple(
-                    sql_sort_key(
-                        row.values[position]
-                        if position is not None
-                        else evaluator.evaluate(item.expr, row.scope)
-                    )
-                    for item, position in zip(order_by, positions)
-                ),
-                row,
-            )
-            for row in rows
-        ]
+        order = list(range(len(rows)))
         # Stable sorts from the last term to the first give the
         # lexicographic order, each term in its own direction.
-        for index in reversed(range(len(order_by))):
-            keyed.sort(key=lambda pair: pair[0][index], reverse=order_by[index].descending)
-        return [row for _key, row in keyed]
+        for item, position in reversed(list(zip(order_by, positions))):
+            if position is not None:
+                values = [row.values[position] for row in rows]
+            else:
+                code = evaluator.code(item.expr)
+                values = [code(evaluator, row.scope) for row in rows]
+            order.sort(key=sql_sort_keys(values).__getitem__, reverse=item.descending)
+        return [rows[index] for index in order]
 
     # ------------------------------------------------------------------
     # DML
     # ------------------------------------------------------------------
 
+    def _value_rows(
+        self, statement: ast.Insert, evaluator: Evaluator, scope: Optional[Scope]
+    ) -> List[List[object]]:
+        """The rows an INSERT supplies, from its VALUES or its SELECT."""
+        if statement.select is not None:
+            result = self._execute_select(
+                statement.select, evaluator.params, evaluator.program, outer_scope=scope
+            )
+            return [list(row) for row in result.rows]
+        eval_scope = scope or Scope({})
+        return [[evaluator.value(e, eval_scope) for e in exprs] for exprs in statement.values]
+
     def _execute_insert(
-        self, statement: ast.Insert, params: List[object], scope: Optional[Scope]
+        self,
+        statement: ast.Insert,
+        params: List[object],
+        program: Program,
+        scope: Optional[Scope],
     ) -> ResultSet:
         key = statement.table.lower()
+        evaluator = self._evaluator(params, program)
         if key in self.views:
-            return self._insert_into_view(statement, params, scope)
+            return self._insert_into_view(statement, evaluator, scope)
         table = self.table(statement.table)
-        evaluator = self._evaluator(params)
-        eval_scope = scope or Scope({})
-        value_rows: List[List[object]] = []
-        if statement.select is not None:
-            result = self._execute_select(statement.select, params, outer_scope=scope)
-            value_rows = [list(row) for row in result.rows]
-        else:
-            for exprs in statement.values:
-                value_rows.append([evaluator.evaluate(e, eval_scope) for e in exprs])
+        value_rows = self._value_rows(statement, evaluator, scope)
         columns = statement.columns or [c.name for c in table.columns]
         lastrowid = None
         for values in value_rows:
@@ -1044,50 +1138,73 @@ class Database:
         if unknown:
             raise SqlNameError(f"no such columns in UPDATE: {sorted(unknown)}")
 
+    @staticmethod
+    def _matches(
+        rows: Iterable[Tuple[object, Dict[str, object]]],
+        name: str,
+        where: Optional[ast.Expr],
+        evaluator: Evaluator,
+        scope: Optional[Scope],
+    ) -> Iterator[Tuple[object, Scope]]:
+        """(key, scope) of each (key, row) of the source ``name`` that
+        ``where`` selects, evaluated only when the caller asks for the next
+        match (a view's triggers run in between)."""
+        test = evaluator.code(where) if where is not None else None
+        name = name.lower()
+        for key, row in rows:
+            row_scope = Scope(row, scope, name)
+            if test is None or is_true(test(evaluator, row_scope)):
+                yield key, row_scope
+
     def _table_matches(
         self,
         table: Table,
         where: Optional[ast.Expr],
         evaluator: Evaluator,
         scope: Optional[Scope],
-    ) -> Iterator[Tuple[int, Scope]]:
+    ) -> Iterator[Tuple[object, Scope]]:
         """(rowid, scope) of each row of ``table`` an UPDATE or DELETE with
-        ``where`` touches, read by primary key when it can be. Each row's
-        WHERE is evaluated only when the caller asks for the next match."""
+        ``where`` touches, read by primary key when it can be."""
         rowids = self._pk_rowids(table, (where, None, table.name), evaluator) if where else None
-        make = self._scope_maker(table.name, table.column_names)
-        for rowid in list(table.rows) if rowids is None else rowids:
-            row_scope = make(table.rows[rowid], scope)
-            if evaluator.truth(where, row_scope):
-                yield rowid, row_scope
+        candidates = list(table.rows) if rowids is None else rowids
+        rows = ((rowid, table.rows[rowid]) for rowid in candidates)
+        return self._matches(rows, table.name, where, evaluator, scope)
 
     def _execute_update(
-        self, statement: ast.Update, params: List[object], scope: Optional[Scope]
+        self,
+        statement: ast.Update,
+        params: List[object],
+        program: Program,
+        scope: Optional[Scope],
     ) -> ResultSet:
         key = statement.table.lower()
+        evaluator = self._evaluator(params, program)
+        assignments = [
+            (column.lower(), evaluator.code(expr)) for column, expr in statement.assignments
+        ]
         if key in self.views:
-            return self._update_view(statement, params, scope)
+            return self._update_view(statement, assignments, evaluator, scope)
         table = self.table(statement.table)
         self._check_assignments(statement, table.column_names)
-        evaluator = self._evaluator(params)
         updated = 0
         for rowid, row_scope in self._table_matches(table, statement.where, evaluator, scope):
-            new_values = {
-                column.lower(): evaluator.evaluate(expr, row_scope)
-                for column, expr in statement.assignments
-            }
+            new_values = {column: code(evaluator, row_scope) for column, code in assignments}
             table.update_row(rowid, new_values)
             updated += 1
         return ResultSet(rowcount=updated)
 
     def _execute_delete(
-        self, statement: ast.Delete, params: List[object], scope: Optional[Scope]
+        self,
+        statement: ast.Delete,
+        params: List[object],
+        program: Program,
+        scope: Optional[Scope],
     ) -> ResultSet:
         key = statement.table.lower()
+        evaluator = self._evaluator(params, program)
         if key in self.views:
-            return self._delete_from_view(statement, params, scope)
+            return self._delete_from_view(statement, evaluator, scope)
         table = self.table(statement.table)
-        evaluator = self._evaluator(params)
         doomed = [
             rowid for rowid, _scope in self._table_matches(table, statement.where, evaluator, scope)
         ]
@@ -1120,91 +1237,72 @@ class Database:
                 bindings[f"old.{column.lower()}"] = value
         trigger_scope = Scope(bindings)
         for action in trigger.body:
-            self._dispatch(action.statement, params, scope=trigger_scope)
+            self._dispatch(action.statement, params, trigger.program, scope=trigger_scope)
 
     def _insert_into_view(
-        self, statement: ast.Insert, params: List[object], scope: Optional[Scope]
+        self, statement: ast.Insert, evaluator: Evaluator, scope: Optional[Scope]
     ) -> ResultSet:
         view = self.views[statement.table.lower()]
         trigger = self._view_trigger(statement.table.lower(), "INSERT")
-        evaluator = self._evaluator(params)
-        eval_scope = scope or Scope({})
-        value_rows: List[List[object]] = []
-        if statement.select is not None:
-            result = self._execute_select(statement.select, params, outer_scope=scope)
-            value_rows = [list(r) for r in result.rows]
-        else:
-            for exprs in statement.values:
-                value_rows.append([evaluator.evaluate(e, eval_scope) for e in exprs])
+        value_rows = self._value_rows(statement, evaluator, scope)
         columns = statement.columns or list(view.columns)
         for values in value_rows:
             new_row = {c.lower(): None for c in view.columns}
             for column, value in zip(columns, values):
                 new_row[column.lower()] = value
-            self._run_trigger(trigger, params, new_row=new_row, old_row=None)
+            self._run_trigger(trigger, evaluator.params, new_row=new_row, old_row=None)
         return ResultSet(rowcount=len(value_rows))
-
-    def _view_rows(
-        self,
-        view: _View,
-        where: Optional[ast.Expr],
-        params: List[object],
-        scope: Optional[Scope],
-    ) -> List[Dict[str, object]]:
-        """The rows of ``view`` an UPDATE or DELETE with ``where`` considers.
-        When the planner would flatten the UNION ALL view and ``where`` pins
-        the primary key, each arm reads by its key instead of computing the
-        whole view."""
-        rows: Iterable[tuple]
-        if view.select.is_compound and planner.should_flatten(
-            view.select, [], None, self.sqlite_emulation
-        ):
-            rows = self._arm_rows(view, where, view.name, params, self._evaluator(params), scope)
-        else:
-            rows = self._execute_select(view.select, params, outer_scope=scope).rows
-        lowered = [c.lower() for c in view.columns]
-        return [dict(zip(lowered, row)) for row in rows]
 
     def _view_matches(
         self,
         view: _View,
         where: Optional[ast.Expr],
-        params: List[object],
         evaluator: Evaluator,
         scope: Optional[Scope],
-    ) -> Iterator[Tuple[Dict[str, object], Scope]]:
-        """(row, scope) of each view row the statement's ``where`` selects,
-        evaluated as the caller iterates (its triggers run in between)."""
-        make = self._scope_maker(view.name, view.columns)
-        for row in self._view_rows(view, where, params, scope):
-            row_scope = make(row, scope)
-            if evaluator.truth(where, row_scope):
-                yield row, row_scope
+    ) -> Iterator[Tuple[object, Scope]]:
+        """(row, scope) of each row of ``view`` an UPDATE or DELETE with
+        ``where`` touches. When the planner would flatten the UNION ALL
+        view and ``where`` pins the primary key, each arm reads by its key
+        instead of computing the whole view."""
+        rows: Iterable[tuple]
+        if view.select.is_compound and planner.should_flatten(
+            view.select, [], None, self.sqlite_emulation
+        ):
+            rows = self._arm_rows(view, where, view.name, evaluator, scope)
+        else:
+            rows = self._execute_select(
+                view.select, evaluator.params, view.program, outer_scope=scope
+            ).rows
+        lowered = [c.lower() for c in view.columns]
+        dicts = [dict(zip(lowered, row)) for row in rows]
+        return self._matches(((row, row) for row in dicts), view.name, where, evaluator, scope)
 
     def _update_view(
-        self, statement: ast.Update, params: List[object], scope: Optional[Scope]
+        self,
+        statement: ast.Update,
+        assignments: List[Tuple[str, Callable[[Evaluator, Scope], object]]],
+        evaluator: Evaluator,
+        scope: Optional[Scope],
     ) -> ResultSet:
         view = self.views[statement.table.lower()]
         trigger = self._view_trigger(statement.table.lower(), "UPDATE")
         self._check_assignments(statement, view.columns)
-        evaluator = self._evaluator(params)
         updated = 0
-        for row, row_scope in self._view_matches(view, statement.where, params, evaluator, scope):
+        for row, row_scope in self._view_matches(view, statement.where, evaluator, scope):
             new_row = dict(row)
-            for column, expr in statement.assignments:
-                new_row[column.lower()] = evaluator.evaluate(expr, row_scope)
-            self._run_trigger(trigger, params, new_row=new_row, old_row=row)
+            for column, code in assignments:
+                new_row[column] = code(evaluator, row_scope)
+            self._run_trigger(trigger, evaluator.params, new_row=new_row, old_row=row)
             updated += 1
         return ResultSet(rowcount=updated)
 
     def _delete_from_view(
-        self, statement: ast.Delete, params: List[object], scope: Optional[Scope]
+        self, statement: ast.Delete, evaluator: Evaluator, scope: Optional[Scope]
     ) -> ResultSet:
         view = self.views[statement.table.lower()]
         trigger = self._view_trigger(statement.table.lower(), "DELETE")
-        evaluator = self._evaluator(params)
         deleted = 0
-        for row, _scope in self._view_matches(view, statement.where, params, evaluator, scope):
-            self._run_trigger(trigger, params, new_row=None, old_row=row)
+        for row, _scope in self._view_matches(view, statement.where, evaluator, scope):
+            self._run_trigger(trigger, evaluator.params, new_row=None, old_row=row)
             deleted += 1
         return ResultSet(rowcount=deleted)
