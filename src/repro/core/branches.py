@@ -52,13 +52,8 @@ class BranchManager:
         self._fork_stamps: Dict[Tuple[str, str], int] = {}
         # Mounts built this session, for statistics.
         self.mounts_built = 0
-
-    # ------------------------------------------------------------------
-    # Backing-store helpers
-    # ------------------------------------------------------------------
-
-    def _fs_for_kind(self, kind: str) -> Filesystem:
-        return {
+        # Backing store of each BranchSpec kind.
+        self._kind_fs: Dict[str, Filesystem] = {
             "pub": self.pub_fs,
             "extpriv": self.extpriv_fs,
             "vol_ext": self.vol_fs,
@@ -67,7 +62,11 @@ class BranchManager:
             "deleg_extpriv": self.deleg_fs,
             "ppriv": self.ppriv_fs,
             "system_priv": self.system_fs,
-        }[kind]
+        }
+
+    # ------------------------------------------------------------------
+    # Backing-store helpers
+    # ------------------------------------------------------------------
 
     @staticmethod
     def _dirkey(segment: str) -> str:
@@ -81,7 +80,7 @@ class BranchManager:
         return initiator_key(segment)
 
     def _branch(self, spec: BranchSpec) -> Branch:
-        fs = self._fs_for_kind(spec.kind)
+        fs = self._kind_fs[spec.kind]
         if spec.kind in ("vol_ext", "vol_int"):
             # The subpath is "<initiator>[/relative/dir]": the branch root is
             # the initiator's ext/int volatile tree plus the relative part,
@@ -106,8 +105,7 @@ class BranchManager:
             root = vpath.join("/", self._dirkey(package), rest)
         else:  # ppriv: one directory per (delegate, initiator) pair
             root = vpath.join("/", self._dirkey(spec.subpath))
-        if not fs.exists(root, ROOT_CRED):
-            fs.mkdir(root, ROOT_CRED, parents=True)
+        # AufsMount creates a missing branch root.
         return Branch(fs=fs, root=root, writable=spec.writable, label=spec.label)
 
     # ------------------------------------------------------------------
@@ -137,17 +135,7 @@ class BranchManager:
         root = vpath.join(DATA_ROOT, package)
         if not self.system_fs.exists(root, ROOT_CRED):
             return 0
-        newest = self.system_fs.stat(root, ROOT_CRED).mtime
-        stack = [root]
-        while stack:
-            current = stack.pop()
-            for name in self.system_fs.readdir(current, ROOT_CRED):
-                child = vpath.join(current, name)
-                stat = self.system_fs.stat(child, ROOT_CRED)
-                newest = max(newest, stat.mtime)
-                if stat.is_dir:
-                    stack.append(child)
-        return newest
+        return self.system_fs.newest_mtime(root)
 
     def prepare_delegate_priv(self, package: str, initiator: str) -> bool:
         """Apply the re-fork rule before ``B^A`` starts.

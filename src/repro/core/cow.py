@@ -78,9 +78,12 @@ def _decode_payload(text: str) -> Dict[str, object]:
     return out
 
 
+_NON_WORD = re.compile(r"\W")
+
+
 def initiator_key(initiator: str) -> str:
     """Sanitize an initiator package name for use in SQL object names."""
-    return re.sub(r"\W", "_", initiator)
+    return _NON_WORD.sub("_", initiator)
 
 
 @dataclass

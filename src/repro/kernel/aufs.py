@@ -30,7 +30,7 @@ through the mount point, where the union enforces the merged view's checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     DirectoryNotEmpty,
@@ -49,6 +49,7 @@ from repro.kernel.vfs import (
     FileHandle,
     Filesystem,
     FilesystemAPI,
+    Inode,
     InodeKind,
     ROOT_CRED,
     Stat,
@@ -79,19 +80,65 @@ class Branch:
     writable: bool = False
     label: str = ""
 
+    def __post_init__(self) -> None:
+        self.root = vpath.canonical(self.root)
+
     def path(self, union_path: str) -> str:
-        """Translate a union-relative path into this branch's filesystem."""
-        return vpath.join(self.root, union_path)
+        """Translate a canonical union path into this branch's filesystem."""
+        return vpath.graft(self.root, union_path)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         rw = "rw" if self.writable else "ro"
         return f"<Branch {self.label or self.root} ({rw})>"
 
 
+def _split_last(union_path: str) -> Tuple[str, str]:
+    """``(parent, name)`` of a canonical path (``("/", "")`` for the root)."""
+    head, _, name = union_path.rpartition("/")
+    return head or "/", name
+
+
 def _whiteout_path(branch: Branch, union_path: str) -> str:
-    parent = vpath.parent(union_path)
-    name = vpath.basename(union_path)
-    return vpath.join(branch.path(parent), WHITEOUT_PREFIX + name)
+    parent, name = _split_last(union_path)
+    return vpath.child(branch.path(parent), WHITEOUT_PREFIX + name)
+
+
+def _descend(branch: Branch, parts: Sequence[str]) -> Tuple[Optional[Inode], bool]:
+    """Walk one branch toward the union path ``parts``, once.
+
+    Returns ``(inode, masks)``: the branch's inode at the path (None when
+    the branch lacks it), and whether the branch masks the path in every
+    lower branch. A branch masks a path when, at some depth along the part
+    of the path it holds as directories, it has a whiteout for the next
+    component, holds that component as a file although the path goes on
+    below it, or holds it as an opaque directory. Branch-internal, so no
+    permission applies (the branch is read as root).
+    """
+    node = branch.fs.root
+    # The root is canonical (Branch.__post_init__), so a plain split gives
+    # its components. They are not kept on the Branch: every live process
+    # holds its mounts' branches, and a stored tuple each shows in memory.
+    if branch.root != "/":
+        for name in branch.root[1:].split("/"):
+            node = node.children.get(name)
+            if node is None:
+                return None, False
+    masks = False
+    last = len(parts) - 1
+    for depth, name in enumerate(parts):
+        children = node.children
+        if WHITEOUT_PREFIX + name in children:
+            masks = True
+        node = children.get(name)
+        if node is None:
+            return None, masks
+        if depth < last:
+            if node.kind is not InodeKind.DIR:
+                # A file in an upper branch shadows lower directories.
+                return None, True
+            if OPAQUE_MARKER in node.children:
+                masks = True
+    return node, masks
 
 
 class _AufsFileHandle(FileHandle):
@@ -152,75 +199,51 @@ class AufsMount(FilesystemAPI):
     # Visibility
     # ------------------------------------------------------------------
 
-    def _hidden_by_upper(self, index: int, union_path: str) -> bool:
-        """True if branch ``index``'s entry at ``union_path`` is masked by a
-        whiteout, opaque directory, or shadowing file in a higher branch."""
-        components = vpath.split(union_path)
-        for j in range(index):
-            upper = self.branches[j]
-            current = upper.root
-            masked = False
-            for depth, component in enumerate(components):
-                whiteout = vpath.join(current, WHITEOUT_PREFIX + component)
-                if upper.fs.exists(whiteout, ROOT_CRED):
-                    masked = True
-                    break
-                nxt = vpath.join(current, component)
-                if not upper.fs.exists(nxt, ROOT_CRED):
-                    break
-                stat = upper.fs.stat(nxt, ROOT_CRED)
-                is_last = depth == len(components) - 1
-                if stat.is_file and not is_last:
-                    # A file in an upper branch shadows lower directories.
-                    masked = True
-                    break
-                if stat.is_dir and not is_last:
-                    opaque = vpath.join(nxt, OPAQUE_MARKER)
-                    if upper.fs.exists(opaque, ROOT_CRED):
-                        masked = True
-                        break
-                current = nxt
-            if masked:
-                return True
-        return False
+    def _locate(self, parts: Sequence[str]) -> Tuple[int, Optional[Inode]]:
+        """The topmost visible instance of the union path ``parts``.
 
-    def _find(self, union_path: str) -> Tuple[int, Stat]:
-        """Locate the topmost visible instance of ``union_path``.
-
-        Returns ``(branch_index, stat)`` or raises :class:`FileNotFound`.
+        Returns ``(branch_index, inode)``, or ``(-1, None)`` when the path
+        is not visible. Each branch is descended once, top first, until
+        one holds the path; it is visible unless a branch above masks it
+        (see :func:`_descend`). ``lookup_branches_scanned`` counts the
+        branches descended.
         """
         if self.obs.enabled:
             self.obs.metrics.count("aufs.lookup")
+        masked = False
         for index, branch in enumerate(self.branches):
             self.lookup_branches_scanned += 1
             if self.obs.enabled:
                 self.obs.metrics.count("aufs.lookup.branches_scanned")
-            branch_path = branch.path(union_path)
-            if not branch.fs.exists(branch_path, ROOT_CRED):
-                continue
-            if self._hidden_by_upper(index, union_path):
+            node, masks = _descend(branch, parts)
+            if node is not None:
                 # Higher branches mask everything below; nothing further
                 # down can be visible either.
-                raise FileNotFound(union_path)
-            return index, branch.fs.stat(branch_path, ROOT_CRED)
-        raise FileNotFound(union_path)
+                return (-1, None) if masked else (index, node)
+            masked = masked or masks
+        return -1, None
 
-    def _check_access(self, stat: Stat, cred: Credentials, want: int) -> None:
+    def _find(self, union_path: str) -> Tuple[int, Inode]:
+        """:meth:`_locate` for a canonical path; raises FileNotFound."""
+        index, node = self._locate(vpath.split(union_path))
+        if node is None:
+            raise FileNotFound(union_path)
+        return index, node
+
+    def _held_below(self, parts: Sequence[str], start: int) -> bool:
+        """True if any branch from ``start`` down holds the path."""
+        return any(
+            _descend(branch, parts)[0] is not None for branch in self.branches[start:]
+        )
+
+    def _check_access(self, node: Inode, cred: Credentials, want: int) -> None:
         """Enforce the merged view's permission bits.
 
         Reads (and the copy-up that precedes a redirected write) are exempt
         when ``always_allow_read`` is set — the Maxoid Aufs patch.
         """
-        if self.always_allow_read or cred.is_root:
-            return
-        if cred.uid == stat.uid:
-            granted = (stat.mode >> 6) & 0o7
-        elif cred.gid == stat.gid and stat.gid != 0:
-            granted = (stat.mode >> 3) & 0o7
-        else:
-            granted = stat.mode & 0o7
-        if (granted & want) != want:
-            raise PermissionDenied(f"access {want:o} denied (mode {stat.mode:o})")
+        if not self.always_allow_read and not node.permits(cred, want):
+            raise PermissionDenied(f"access {want:o} denied (mode {node.mode:o})")
 
     # ------------------------------------------------------------------
     # Write plumbing
@@ -236,8 +259,8 @@ class AufsMount(FilesystemAPI):
         """Replicate the ancestor directory chain into the writable branch."""
         branch = self._require_writable()
         partial = "/"
-        for component in vpath.split(vpath.parent(union_path)):
-            partial = vpath.join(partial, component)
+        for component in vpath.split(union_path)[:-1]:
+            partial = vpath.child(partial, component)
             target = branch.path(partial)
             if not branch.fs.exists(target, ROOT_CRED):
                 # The directory must be visible in the union for the write
@@ -299,10 +322,8 @@ class AufsMount(FilesystemAPI):
         # (invisible through the union), then publish it with an atomic
         # rename — a crash at any intermediate point leaves either the old
         # view or the new one, never a torn file.
-        staging = vpath.join(
-            branch.path(vpath.parent(union_path)),
-            COPYUP_TMP_PREFIX + vpath.basename(union_path),
-        )
+        parent, name = _split_last(union_path)
+        staging = vpath.child(branch.path(parent), COPYUP_TMP_PREFIX + name)
         branch.fs.write_file(staging, data, ROOT_CRED, mode=stat.mode | 0o600)
         branch.fs.chown(staging, cred.uid, gid=cred.gid)
         if _FAULTS.enabled:
@@ -344,7 +365,7 @@ class AufsMount(FilesystemAPI):
             self._drop_whiteout(union_path)
             branch.fs.mkdir(target, ROOT_CRED, mode=stat.mode)
         for name in self.readdir(union_path, ROOT_CRED):
-            self._copy_up_tree(vpath.join(union_path, name), cred)
+            self._copy_up_tree(vpath.child(union_path, name), cred)
 
     # ------------------------------------------------------------------
     # FilesystemAPI
@@ -352,10 +373,16 @@ class AufsMount(FilesystemAPI):
 
     def stat(self, path: str, cred: Credentials) -> Stat:
         """Stat the topmost visible instance of ``path``."""
+        path = vpath.canonical(path)
         if self._single is not None:
             return self._single.fs.stat(self._single.path(path), ROOT_CRED)
-        _, stat = self._find(path)
-        return stat
+        return self._find(path)[1].stat()
+
+    def exists(self, path: str, cred: Credentials) -> bool:
+        path = vpath.canonical(path)
+        if self._single is not None:
+            return self._single.fs.exists(self._single.path(path), ROOT_CRED)
+        return self._locate(vpath.split(path))[1] is not None
 
     def open(
         self,
@@ -417,6 +444,7 @@ class AufsMount(FilesystemAPI):
         exclusive: bool = False,
         mode: int = 0o644,
     ) -> FileHandle:
+        path = vpath.canonical(path)
         wants_write = write or truncate or append
         if self._single is not None and self._single.writable:
             target = self._single.path(path)
@@ -435,15 +463,8 @@ class AufsMount(FilesystemAPI):
             if fresh:
                 self._single.fs.chown(target, cred.uid, gid=cred.gid)
             return handle
-        try:
-            index, stat = self._find(path)
-            exists = True
-        except FileNotFound:
-            exists = False
-            index, stat = -1, None
-        if exists and exclusive and create:
-            raise FileExists(path)
-        if not exists:
+        index, node = self._locate(vpath.split(path))
+        if node is None:
             if not create:
                 raise FileNotFound(path)
             branch = self._require_writable()
@@ -462,13 +483,14 @@ class AufsMount(FilesystemAPI):
             )
             branch.fs.chown(target, cred.uid, gid=cred.gid)
             return handle
-        assert stat is not None
-        if stat.is_dir:
+        if exclusive and create:
+            raise FileExists(path)
+        if node.is_dir:
             raise IsADirectory(path)
         if read:
-            self._check_access(stat, cred, 0o4)
+            self._check_access(node, cred, 0o4)
         if wants_write:
-            self._check_access(stat, cred, 0o2)
+            self._check_access(node, cred, 0o2)
             if not self.branches[index].writable:
                 self._copy_up(path, index, cred)
                 index = self._writable_index  # type: ignore[assignment]
@@ -483,6 +505,7 @@ class AufsMount(FilesystemAPI):
         )
 
     def mkdir(self, path: str, cred: Credentials, mode: int = 0o755, parents: bool = False) -> None:
+        path = vpath.canonical(path)
         if self._single is not None and self._single.writable:
             self._single.fs.mkdir(self._single.path(path), ROOT_CRED, mode=mode, parents=parents)
             return
@@ -490,7 +513,7 @@ class AufsMount(FilesystemAPI):
         if parents:
             partial = "/"
             for component in vpath.split(path):
-                partial = vpath.join(partial, component)
+                partial = vpath.child(partial, component)
                 if not self.exists(partial, cred):
                     self.mkdir(partial, cred, mode=mode, parents=False)
             return
@@ -505,29 +528,36 @@ class AufsMount(FilesystemAPI):
         if had_whiteout:
             # The name was deleted earlier; the fresh directory must not let
             # stale lower-branch entries show through.
-            branch.fs.write_file(vpath.join(target, OPAQUE_MARKER), b"", ROOT_CRED)
+            branch.fs.write_file(vpath.child(target, OPAQUE_MARKER), b"", ROOT_CRED)
 
     def readdir(self, path: str, cred: Credentials) -> List[str]:
+        path = vpath.canonical(path)
         if self._single is not None:
             return self._single.fs.readdir(self._single.path(path), ROOT_CRED)
-        index, stat = self._find(path)
-        if not stat.is_dir:
+        parts = vpath.split(path)
+        index, node = self._locate(parts)
+        if node is None:
+            raise FileNotFound(path)
+        if not node.is_dir:
             raise NotADirectory(path)
-        self._check_access(stat, cred, 0o4)
+        self._check_access(node, cred, 0o4)
         names: List[str] = []
         seen = set()
         hidden = set()
+        # Whether a branch above the current one masks the path.
+        masked = False
         for i in range(index, len(self.branches)):
-            branch = self.branches[i]
-            branch_dir = branch.path(path)
-            if not branch.fs.exists(branch_dir, ROOT_CRED):
+            branch_dir, masks = _descend(self.branches[i], parts)
+            if branch_dir is None:
+                masked = masked or masks
                 continue
-            if not branch.fs.stat(branch_dir, ROOT_CRED).is_dir:
+            if not branch_dir.is_dir:
                 break
-            if i > index and self._hidden_by_upper(i, path):
+            if masked:
                 break
+            masked = masks
             opaque = False
-            for name in branch.fs.readdir(branch_dir, ROOT_CRED):
+            for name in sorted(branch_dir.children):
                 if name == OPAQUE_MARKER:
                     opaque = True
                     continue
@@ -542,48 +572,42 @@ class AufsMount(FilesystemAPI):
         return sorted(names)
 
     def unlink(self, path: str, cred: Credentials) -> None:
+        path = vpath.canonical(path)
         if self._single is not None and self._single.writable:
             self._single.fs.unlink(self._single.path(path), ROOT_CRED)
             return
-        index, stat = self._find(path)
-        if stat.is_dir:
+        index, node = self._find(path)
+        if node.is_dir:
             raise IsADirectory(path)
-        self._check_access(stat, cred, 0o2)
+        self._check_access(node, cred, 0o2)
         branch = self._require_writable()
         if self.branches[index].writable:
             branch.fs.unlink(branch.path(path), ROOT_CRED)
             index += 1
         # If the name still exists in any lower branch, mask it.
-        still_visible = any(
-            self.branches[i].fs.exists(self.branches[i].path(path), ROOT_CRED)
-            for i in range(index, len(self.branches))
-        )
-        if still_visible:
+        if self._held_below(vpath.split(path), index):
             self._ensure_parents(path)
             branch.fs.write_file(_whiteout_path(branch, path), b"", ROOT_CRED)
 
     def rmdir(self, path: str, cred: Credentials) -> None:
-        index, stat = self._find(path)
-        if not stat.is_dir:
+        path = vpath.canonical(path)
+        index, node = self._find(path)
+        if not node.is_dir:
             raise NotADirectory(path)
         if self.readdir(path, ROOT_CRED):
             raise DirectoryNotEmpty(path)
-        self._check_access(stat, cred, 0o2)
+        self._check_access(node, cred, 0o2)
         branch = self._require_writable()
         if self.branches[index].writable:
             target = branch.path(path)
-            opaque = vpath.join(target, OPAQUE_MARKER)
+            opaque = vpath.child(target, OPAQUE_MARKER)
             if branch.fs.exists(opaque, ROOT_CRED):
                 branch.fs.unlink(opaque, ROOT_CRED)
             for name in list(branch.fs.readdir(target, ROOT_CRED)):
-                branch.fs.unlink(vpath.join(target, name), ROOT_CRED)
+                branch.fs.unlink(vpath.child(target, name), ROOT_CRED)
             branch.fs.rmdir(target, ROOT_CRED)
             index += 1
-        still_visible = any(
-            self.branches[i].fs.exists(self.branches[i].path(path), ROOT_CRED)
-            for i in range(index, len(self.branches))
-        )
-        if still_visible:
+        if self._held_below(vpath.split(path), index):
             self._ensure_parents(path)
             branch.fs.write_file(_whiteout_path(branch, path), b"", ROOT_CRED)
 
@@ -594,15 +618,17 @@ class AufsMount(FilesystemAPI):
         new name, then deletion of the old name — the strategy real union
         filesystems use when the source lives in a read-only branch.
         """
-        index, stat = self._find(old)
-        self._check_access(stat, cred, 0o2)
+        old = vpath.canonical(old)
+        new = vpath.canonical(new)
+        index, node = self._find(old)
+        self._check_access(node, cred, 0o2)
         branch = self._require_writable()
-        if stat.is_file:
+        if node.is_file:
             data = self.read_file(old, ROOT_CRED)
             self._ensure_parents(new)
             self._drop_whiteout(new)
             target = branch.path(new)
-            branch.fs.write_file(target, data, ROOT_CRED, mode=stat.mode)
+            branch.fs.write_file(target, data, ROOT_CRED, mode=node.mode)
             branch.fs.chown(target, cred.uid, gid=cred.gid)
             self.unlink(old, cred)
             return
@@ -612,8 +638,9 @@ class AufsMount(FilesystemAPI):
         self._ensure_parents(new)
         self._drop_whiteout(new)
         branch.fs.rename(source_root, branch.path(new), ROOT_CRED)
+        old_parts = vpath.split(old)
         still_visible = any(
-            b.fs.exists(b.path(old), ROOT_CRED) for b in self.branches if not b.writable
+            _descend(b, old_parts)[0] is not None for b in self.branches if not b.writable
         )
         if still_visible:
             branch.fs.write_file(_whiteout_path(branch, old), b"", ROOT_CRED)
@@ -650,7 +677,7 @@ def purge_copyup_temps(fs: Filesystem) -> List[str]:
     while stack:
         current = stack.pop()
         for name in list(fs.readdir(current, ROOT_CRED)):
-            child = vpath.join(current, name)
+            child = vpath.child(current, name)
             if fs.stat(child, ROOT_CRED).is_dir:
                 stack.append(child)
             elif name.startswith(COPYUP_TMP_PREFIX):

@@ -105,22 +105,27 @@ class MountNamespace:
 
     def _resolve_impl(self, path: str) -> Tuple[FilesystemAPI, str]:
         path = vpath.normalize(path)
-        best = "/"
-        for point in self._mounts:
-            if vpath.is_within(path, point) and len(point) > len(best):
-                best = point
-        fs = self._mounts[best]
-        inner = "/" + vpath.relative_to(path, best)
-        return fs, vpath.normalize(inner)
+        point = self._mount_point(path)
+        if point == "/":
+            return self._mounts[point], path
+        return self._mounts[point], path[len(point) :] or "/"
 
     def mount_for(self, path: str) -> Tuple[str, FilesystemAPI]:
         """Return ``(mount_point, filesystem)`` covering ``path``."""
-        path = vpath.normalize(path)
-        best = "/"
-        for point in self._mounts:
-            if vpath.is_within(path, point) and len(point) > len(best):
-                best = point
-        return best, self._mounts[best]
+        point = self._mount_point(vpath.normalize(path))
+        return point, self._mounts[point]
+
+    def _mount_point(self, path: str) -> str:
+        """The longest mount point that is ``path`` or an ancestor of it.
+
+        ``path`` is canonical, and so is every key of the mount table, so
+        probing the table at ``path`` and then at each ancestor in turn
+        finds the longest match without comparing prefixes.
+        """
+        mounts = self._mounts
+        while path not in mounts:
+            path = path[: path.rindex("/")] or "/"
+        return path
 
     def mount_points(self) -> List[str]:
         """All mount points, sorted (``/`` first)."""

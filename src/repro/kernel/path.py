@@ -2,11 +2,20 @@
 
 All simulated paths are absolute, ``/``-separated, and normalized before any
 filesystem sees them. Paths never refer to the host filesystem.
+
+A path is *canonical* when it is what :func:`normalize` would return for it:
+``/`` or ``/``-separated components that are neither empty, ``.`` nor
+``..``. :meth:`repro.kernel.mounts.MountNamespace.resolve` normalizes once
+at namespace entry; below it, paths are canonical and are only split
+(:func:`split`) or concatenated (:func:`child`, :func:`graft`), never
+normalized again. :func:`split` and :func:`canonical` still accept any path,
+so a direct caller may pass one that is not canonical; only such a path
+costs a call to :func:`normalize`.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 
 def normalize(path: str) -> str:
@@ -33,18 +42,79 @@ def normalize(path: str) -> str:
     return "/" + "/".join(parts)
 
 
+def _canonical_parts(path: str) -> Optional[List[str]]:
+    """The components of ``path`` if it is canonical, else None."""
+    if path == "/":
+        return []
+    parts = path.split("/")
+    if parts[0]:
+        return None
+    del parts[0]
+    if "" in parts or "." in parts or ".." in parts:
+        return None
+    return parts
+
+
 def split(path: str) -> Tuple[str, ...]:
-    """Split a normalized path into its components.
+    """Split a path into the components of its normalized form.
+
+    A canonical path is split as it is; any other goes through
+    :func:`normalize` first.
 
     >>> split("/a/b/c")
     ('a', 'b', 'c')
     >>> split("/")
     ()
+    >>> split("a//b/")
+    ('a', 'b')
     """
-    path = normalize(path)
-    if path == "/":
-        return ()
-    return tuple(path[1:].split("/"))
+    parts = _canonical_parts(path)
+    if parts is None:
+        parts = _canonical_parts(normalize(path))
+    return tuple(parts)
+
+
+def canonical(path: str) -> str:
+    """``path`` itself if it is canonical, else :func:`normalize` of it.
+
+    >>> canonical("/a/b")
+    '/a/b'
+    >>> canonical("/a/./b/")
+    '/a/b'
+    """
+    return path if _canonical_parts(path) is not None else normalize(path)
+
+
+def child(directory: str, name: str) -> str:
+    """The path of entry ``name`` inside the canonical ``directory``.
+
+    ``name`` is one component; nothing is normalized.
+
+    >>> child("/a", "b")
+    '/a/b'
+    >>> child("/", "b")
+    '/b'
+    """
+    if directory == "/":
+        return "/" + name
+    return directory + "/" + name
+
+
+def graft(root: str, inner: str) -> str:
+    """Concatenate two canonical paths: ``inner`` taken relative to ``root``.
+
+    >>> graft("/branch", "/a/b")
+    '/branch/a/b'
+    >>> graft("/branch", "/")
+    '/branch'
+    >>> graft("/", "/a")
+    '/a'
+    """
+    if inner == "/":
+        return root
+    if root == "/":
+        return inner
+    return root + inner
 
 
 def join(*parts: str) -> str:
@@ -52,8 +122,13 @@ def join(*parts: str) -> str:
 
     >>> join("/a", "b/c", "d")
     '/a/b/c/d'
+    >>> join("/", "a/", "/b")
+    '/a/b'
     """
-    return normalize("/".join(p for p in parts if p))
+    # Fragments' outer slashes only delimit empty components, which the
+    # normalized form drops anyway; without them a join of canonical
+    # fragments is canonical already.
+    return canonical("/" + "/".join(q for q in (p.strip("/") for p in parts) if q))
 
 
 def parent(path: str) -> str:
@@ -88,8 +163,8 @@ def is_within(path: str, ancestor: str) -> bool:
     >>> is_within("/a/bc", "/a/b")
     False
     """
-    path = normalize(path)
-    ancestor = normalize(ancestor)
+    path = canonical(path)
+    ancestor = canonical(ancestor)
     if ancestor == "/":
         return True
     return path == ancestor or path.startswith(ancestor + "/")
@@ -105,8 +180,8 @@ def relative_to(path: str, ancestor: str) -> str:
     >>> relative_to("/a", "/a")
     ''
     """
-    path = normalize(path)
-    ancestor = normalize(ancestor)
+    path = canonical(path)
+    ancestor = canonical(ancestor)
     if not is_within(path, ancestor):
         raise ValueError(f"{path!r} is not within {ancestor!r}")
     if path == ancestor:

@@ -152,12 +152,10 @@ class Syscalls:
     def rename(self, old: str, new: str) -> None:
         """Rename; raises EXDEV when old and new live on different mounts."""
         self._check_alive()
-        old_point, old_fs = self.process.namespace.mount_for(old)
-        new_point, new_fs = self.process.namespace.mount_for(new)
+        old_fs, old_inner = self.process.namespace.resolve(old)
+        new_fs, new_inner = self.process.namespace.resolve(new)
         if old_fs is not new_fs:
             raise CrossDeviceLink(f"{old} and {new} are on different mounts")
-        _, old_inner = self.process.namespace.resolve(old)
-        _, new_inner = self.process.namespace.resolve(new)
         old_fs.rename(old_inner, new_inner, self.process.cred)
 
     # -- convenience wrappers -------------------------------------------
@@ -275,7 +273,7 @@ class Syscalls:
         while stack:
             current = stack.pop()
             for name in sorted(self.listdir(current), reverse=True):
-                child = vpath.join(current, name)
+                child = vpath.child(current, name)
                 if self.stat(child).is_dir:
                     stack.append(child)
                 else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     BadFileDescriptor,
@@ -118,6 +118,14 @@ class Inode:
     def touch(self) -> None:
         self.mtime = _tick()
 
+    @property
+    def is_dir(self) -> bool:
+        return self.kind is InodeKind.DIR
+
+    @property
+    def is_file(self) -> bool:
+        return self.kind is InodeKind.FILE
+
     def stat(self) -> Stat:
         size = len(self.children) if self.kind is InodeKind.DIR else len(self.data)
         return Stat(
@@ -185,11 +193,12 @@ class FileHandle:
         self._check_open()
         if not self._readable:
             raise BadFileDescriptor("handle not open for reading")
-        data = bytes(self._inode.data)
-        if size < 0:
-            chunk = data[self._offset :]
-        else:
-            chunk = data[self._offset : self._offset + size]
+        # One copy: slice a view of the buffer straight into ``bytes``.
+        with memoryview(self._inode.data) as view:
+            if size < 0:
+                chunk = bytes(view[self._offset :])
+            else:
+                chunk = bytes(view[self._offset : self._offset + size])
         self._offset += len(chunk)
         return chunk
 
@@ -248,13 +257,10 @@ class FilesystemAPI:
         raise NotImplementedError
 
     def exists(self, path: str, cred: Credentials) -> bool:
-        """True if ``path`` resolves to a file or directory."""
-        try:
-            self.stat(path, cred)
-            return True
-        except (FileNotFound, NotADirectory):
-            # ENOTDIR on an intermediate component also means "not there".
-            return False
+        """True if ``path`` resolves to a file or directory (a file met on
+        the way, ENOTDIR, also means "not there"). Never raises for
+        absence."""
+        raise NotImplementedError
 
     def open(
         self,
@@ -315,15 +321,15 @@ class FilesystemAPI:
         """Yield ``(dirpath, dirnames, filenames)`` like :func:`os.walk`."""
         dirnames: List[str] = []
         filenames: List[str] = []
+        base = vpath.canonical(top)
         for name in sorted(self.readdir(top, cred)):
-            child = vpath.join(top, name)
-            if self.stat(child, cred).is_dir:
+            if self.stat(vpath.child(base, name), cred).is_dir:
                 dirnames.append(name)
             else:
                 filenames.append(name)
         yield top, dirnames, filenames
         for name in dirnames:
-            yield from self.walk(vpath.join(top, name), cred)
+            yield from self.walk(vpath.child(base, name), cred)
 
 
 class Filesystem(FilesystemAPI):
@@ -346,29 +352,47 @@ class Filesystem(FilesystemAPI):
 
     # -- resolution ---------------------------------------------------------
 
+    def _walk(
+        self, components: Sequence[str], cred: Credentials, path: str
+    ) -> Tuple[Optional[Inode], Optional[type]]:
+        """Walk ``components`` from the root without raising for absence.
+
+        Returns ``(inode, None)``, or ``(None, FileNotFound)`` /
+        ``(None, NotADirectory)`` naming the error a lookup would raise.
+        Search permission is enforced on the way (``PermissionDenied``
+        names ``path``).
+        """
+        node = self.root
+        check = not cred.is_root
+        for component in components:
+            if node.kind is not InodeKind.DIR:
+                return None, NotADirectory
+            if check and not node.permits(cred, 0o1):
+                raise PermissionDenied(f"search denied on the way to {path}")
+            node = node.children.get(component)
+            if node is None:
+                return None, FileNotFound
+        return node, None
+
     def _lookup(self, path: str, cred: Credentials) -> Inode:
         """Resolve ``path`` to an inode, enforcing search permission."""
-        node = self.root
-        for component in vpath.split(path):
-            if node.kind is not InodeKind.DIR:
-                raise NotADirectory(path)
-            if not node.permits(cred, 0o1):
-                raise PermissionDenied(f"search denied on the way to {path}")
-            child = node.children.get(component)
-            if child is None:
-                raise FileNotFound(path)
-            node = child
+        node, missing = self._walk(vpath.split(path), cred, path)
+        if node is None:
+            raise missing(path)
         return node
 
     def _lookup_parent(self, path: str, cred: Credentials) -> Tuple[Inode, str]:
         """Resolve the parent directory of ``path``; return (parent, name)."""
-        name = vpath.basename(path)
-        if not name:
+        components = vpath.split(path)
+        if not components:
             raise FileExists("/")
-        parent_node = self._lookup(vpath.parent(path), cred)
+        parent_path = "/" + "/".join(components[:-1])
+        parent_node, missing = self._walk(components[:-1], cred, parent_path)
+        if parent_node is None:
+            raise missing(parent_path)
         if parent_node.kind is not InodeKind.DIR:
-            raise NotADirectory(vpath.parent(path))
-        return parent_node, name
+            raise NotADirectory(parent_path)
+        return parent_node, components[-1]
 
     def _check_writable_fs(self) -> None:
         if self.read_only:
@@ -378,6 +402,9 @@ class Filesystem(FilesystemAPI):
 
     def stat(self, path: str, cred: Credentials) -> Stat:
         return self._lookup(path, cred).stat()
+
+    def exists(self, path: str, cred: Credentials) -> bool:
+        return self._walk(vpath.split(path), cred, path)[0] is not None
 
     def open(
         self,
@@ -394,13 +421,13 @@ class Filesystem(FilesystemAPI):
     ) -> FileHandle:
         if write or truncate or append:
             self._check_writable_fs()
-        try:
-            node = self._lookup(path, cred)
+        node, missing = self._walk(vpath.split(path), cred, path)
+        if node is not None:
             if exclusive and create:
                 raise FileExists(path)
-        except FileNotFound:
-            if not create:
-                raise
+        else:
+            if missing is not FileNotFound or not create:
+                raise missing(path)
             self._check_writable_fs()
             parent_node, name = self._lookup_parent(path, cred)
             if not parent_node.permits(cred, 0o3):
@@ -425,7 +452,7 @@ class Filesystem(FilesystemAPI):
         if parents:
             partial = "/"
             for component in vpath.split(path):
-                partial = vpath.join(partial, component)
+                partial = vpath.child(partial, component)
                 if not self.exists(partial, cred):
                     self.mkdir(partial, cred, mode=mode, parents=False)
             return
@@ -509,13 +536,19 @@ class Filesystem(FilesystemAPI):
 
     def tree_size(self, path: str = "/", cred: Credentials = ROOT_CRED) -> int:
         """Total number of inodes under ``path`` (for space accounting)."""
-        node = self._lookup(path, cred)
-        count = 1
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            for child in current.children.values():
-                count += 1
-                if child.kind is InodeKind.DIR:
-                    stack.append(child)
-        return count
+        return sum(1 for _ in _subtree(self._lookup(path, cred)))
+
+    def newest_mtime(self, path: str, cred: Credentials = ROOT_CRED) -> int:
+        """The largest ``mtime`` of any inode under ``path`` (itself too)."""
+        return max(node.mtime for node in _subtree(self._lookup(path, cred)))
+
+
+def _subtree(node: Inode) -> Iterator[Inode]:
+    """``node`` and every inode below it, walked over ``children``."""
+    yield node
+    stack = [node]
+    while stack:
+        for child in stack.pop().children.values():
+            yield child
+            if child.kind is InodeKind.DIR:
+                stack.append(child)

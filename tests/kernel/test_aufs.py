@@ -73,6 +73,21 @@ class TestLookupPriority:
             union.read_file("/docs/a.txt", APP)
 
 
+    def test_reads_after_copy_up_return_identical_bytes(self, union, lower):
+        data = bytes(range(256)) * 40
+        lower.write_file("/docs/big.bin", data, ROOT_CRED, mode=0o666)
+        union.append_file("/docs/big.bin", b"tail", APP)
+        assert union.copy_up_count == 1
+        expected = data + b"tail"
+        with union.open("/docs/big.bin", APP) as handle:
+            assert handle.read(7) == expected[:7]
+            handle.seek(5000)
+            assert handle.read(300) == expected[5000:5300]
+            handle.seek(len(data) - 2)
+            assert handle.read() == expected[-6:]
+        assert union.read_file("/docs/big.bin", APP) == expected
+        assert lower.read_file("/docs/big.bin", ROOT_CRED) == data
+
 class TestCopyUp:
     def test_write_copies_up(self, union, lower, upper):
         union.append_file("/docs/a.txt", b"+app", APP)

@@ -109,6 +109,29 @@ class TestSyscalls:
         with pytest.raises(CrossDeviceLink):
             sys.rename("/f", "/other/f")
 
+    def test_rename_across_nested_mounts_is_exdev(self):
+        process = make_process(uid=0)
+        namespace = process.namespace
+        namespace.mount("/storage/sdcard", Filesystem(label="sdcard"))
+        namespace.mount("/storage/sdcard/data/A", Filesystem(label="private"))
+        sys = Syscalls(process)
+        sys.makedirs("/storage/sdcard/data/A/docs")
+        sys.write_file("/storage/sdcard/f", b"x")
+        sys.write_file("/storage/sdcard/data/A/g", b"y")
+        with pytest.raises(CrossDeviceLink):
+            sys.rename("/storage/sdcard/f", "/storage/sdcard/data/A/f")
+        with pytest.raises(CrossDeviceLink):
+            sys.rename("/storage/sdcard/data/A/g", "/storage/sdcard/g")
+        # A name that only shares a string prefix with the inner mount
+        # point lives on the outer mount.
+        sys.makedirs("/storage/sdcard/data/AB")
+        sys.rename("/storage/sdcard/f", "/storage/sdcard/data/AB/f")
+        assert sys.read_file("/storage/sdcard/data/AB/f") == b"x"
+        # Within the inner mount, spelled through dot components.
+        sys.rename("/storage/sdcard/data/A/./g", "/storage/sdcard/data/B/../A/docs/g")
+        assert sys.read_file("/storage/sdcard/data/A/docs/g") == b"y"
+        assert not sys.exists("/storage/sdcard/data/A/g")
+
     def test_rename_within_mount(self):
         process = make_process(uid=0)
         sys = Syscalls(process)

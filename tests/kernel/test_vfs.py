@@ -59,6 +59,30 @@ class TestFileBasics:
             handle.seek(0)
             assert handle.read() == b"0123456789"
 
+    def test_read_slices_match_the_written_bytes(self, fs):
+        data = bytes(range(256)) * 64
+        fs.write_file("/f", data, ROOT_CRED)
+        with fs.open("/f", ROOT_CRED) as handle:
+            for offset, size in [(0, 1), (1, 255), (4000, 5000), (16380, 10), (20000, 3)]:
+                handle.seek(offset)
+                chunk = handle.read(size)
+                assert type(chunk) is bytes
+                assert chunk == data[offset : offset + size]
+                assert handle.tell() == offset + len(chunk)
+            handle.seek(100)
+            assert handle.read() == data[100:]
+            assert handle.read() == b""
+            assert handle.read(5) == b""
+
+    def test_read_leaves_the_file_resizable(self, fs):
+        fs.write_file("/f", b"abc", ROOT_CRED)
+        with fs.open("/f", ROOT_CRED, write=True, append=True) as handle:
+            assert handle.read(2) == b"ab"
+            # No view of the buffer outlives the read: growing it works.
+            handle.write(b"def")
+            handle.seek(1)
+            assert handle.read() == b"bcdef"
+
     def test_write_at_offset(self, fs):
         fs.write_file("/f", b"aaaa", ROOT_CRED)
         with fs.open("/f", ROOT_CRED, read=False, write=True) as handle:
